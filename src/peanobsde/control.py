@@ -72,6 +72,8 @@ class ControlProcess:
         if self.values.ndim != 2 or self.values.shape[0] != self.grid.steps:
             raise ValueError(f"control values must have shape (N, M), "
                              f"got {self.values.shape}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("control values must be finite")
         if np.any(self.values < 0.0):
             raise ValueError("control values must be nonnegative")
 
@@ -105,20 +107,6 @@ def step_function_control(grid: TimeGrid, paths: int,
 _SEARCH_LIMIT = 1.0e8
 
 
-def _is_shifted_modulus(spec: GeneratorSpec) -> bool:
-    # true when the concave part is exactly floor(t) + phi(y), which unlocks
-    # the analytic conjugate and derivative of phi
-    if spec.phi is None:
-        return False
-    probe_y = np.array([1e-6, 1e-2, 0.5, 1.0, 3.0, 7.5])
-    for t in (0.0, 0.37, 0.9):
-        fv = np.asarray(spec.concave_fn(t, probe_y), dtype=float)
-        expect = spec.floor_fn(t) + spec.phi(probe_y)
-        if float(np.max(np.abs(fv - expect))) > 1e-11:
-            return False
-    return True
-
-
 def f_star(spec: GeneratorSpec, t: float, q: float) -> float:
     """sup over y >= 0 of (concave_part(t, y) - q*y); inf when unbounded."""
     if q < 0.0:
@@ -126,7 +114,7 @@ def f_star(spec: GeneratorSpec, t: float, q: float) -> float:
     if spec.phi is None:
         # concave part is zero; the sup sits at y = 0
         return float(np.asarray(spec.concave_fn(t, np.zeros(1)))[0])
-    if _is_shifted_modulus(spec):
+    if spec.shifted_modulus:
         cv = conjugate(spec.phi, q)
         if cv.is_infinite:
             return math.inf
@@ -145,9 +133,15 @@ def f_star(spec: GeneratorSpec, t: float, q: float) -> float:
     return max(float(-res.fun), obj(0.0))
 
 
+def _f_star_row(spec: GeneratorSpec, t: float, q: np.ndarray) -> np.ndarray:
+    """f_star at every entry of q, evaluated once per distinct value."""
+    uniq, inv = np.unique(q, return_inverse=True)
+    return np.array([f_star(spec, t, float(u)) for u in uniq])[inv]
+
+
 def _concave_derivative(spec: GeneratorSpec, t: float,
                         y: np.ndarray) -> np.ndarray:
-    if spec.phi is not None and _is_shifted_modulus(spec):
+    if spec.shifted_modulus:
         return np.asarray(spec.phi.deriv(y), dtype=float)
     h = 1e-7 * np.maximum(np.abs(y), 1e-4)
     h = np.minimum(h, 0.49 * np.maximum(y, 1e-300))
@@ -240,13 +234,11 @@ def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
     star_vals = np.empty((n, m))
     nodes = grid.nodes
     for i in range(n):
-        uniq = np.unique(qv[i])
-        lookup = {float(u): f_star(spec, nodes[i], float(u)) for u in uniq}
-        if any(math.isinf(v) for v in lookup.values()):
+        star_vals[i] = _f_star_row(spec, nodes[i], qv[i])
+        if np.isinf(star_vals[i]).any():
             raise InadmissibleControlError(
                 f"conjugate diverges at step {i}: control takes a value "
                 f"with infinite f*")
-        star_vals[i] = np.vectorize(lookup.get, otypes=[float])(qv[i])
 
     dt = grid.dt
     y = np.empty((n + 1, m))
@@ -592,13 +584,9 @@ def admissibility_check(control: ControlProcess, p_bar: float,
     exp_samples = np.exp(p_bar * integral_q)
     exp_moment = float(np.mean(exp_samples))
 
-    star = np.empty_like(q)
-    infinite = False
-    for i in range(q.shape[0]):
-        uniq = np.unique(q[i])
-        lookup = {float(u): f_star(spec, nodes[i], float(u)) for u in uniq}
-        infinite = infinite or any(math.isinf(v) for v in lookup.values())
-        star[i] = np.vectorize(lookup.get, otypes=[float])(q[i])
+    star = np.array([_f_star_row(spec, nodes[i], q[i])
+                     for i in range(q.shape[0])])
+    infinite = bool(np.isinf(star).any())
     star_integral = star.sum(axis=0) * dt
     if infinite:
         star_norm = math.inf

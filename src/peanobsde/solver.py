@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,6 +107,24 @@ class GeneratorSpec:
     @property
     def lipschitz_in_z(self) -> bool:
         return self.lipschitz_fn is not None and self.gamma > 0.0
+
+    @cached_property
+    def shifted_modulus(self) -> bool:
+        """True when the concave part is exactly floor(t) + phi(y).
+
+        That unlocks the analytic conjugate and derivative of phi. The probe
+        runs once per instance; dataclasses.replace builds a new instance, so
+        a spec whose concave part was swapped is probed afresh.
+        """
+        if self.phi is None:
+            return False
+        probe_y = np.array([1e-6, 1e-2, 0.5, 1.0, 3.0, 7.5])
+        for t in (0.0, 0.37, 0.9):
+            fv = np.asarray(self.concave_fn(t, probe_y), dtype=float)
+            expect = self.floor_fn(t) + self.phi(probe_y)
+            if float(np.max(np.abs(fv - expect))) > 1e-11:
+                return False
+        return True
 
 
 def spec_zero() -> GeneratorSpec:
@@ -382,6 +401,8 @@ def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != m:
         raise ValueError(f"terminal values: {xi.shape[0]} entries for {m} paths")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("terminal values must be finite")
     if np.any(xi < 0.0):
         raise ValueError("terminal values must be nonnegative")
     dt = grid.dt

@@ -8,6 +8,8 @@ main() in process and checks what lands on disk.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +96,19 @@ class TestListScenarios:
     def test_catalogue_matches_registry(self):
         assert [name for name, _ in list_scenarios()] == list(SCENARIO_ORDER)
         assert set(SCENARIO_ORDER) == set(cli._SCENARIO_FUNCS)
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "peanobsde",
+             "list-scenarios"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        names = [ln.split(":", 1)[0] for ln in proc.stdout.splitlines()]
+        assert names == list(SCENARIO_ORDER)
 
 
 class TestExitCodes:

@@ -97,6 +97,26 @@ class TestConjugate:
     def test_trivial_driver_keeps_value_at_origin(self):
         assert f_star(spec_zero(), 0.2, 1.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_structure_probed_once_per_spec(self):
+        base = spec_sqrt()
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return base.concave_fn(t, y)
+
+        spec = replace(base, concave_fn=counted)
+        for k in range(1000):
+            f_star(spec, 0.01 * (k % 97), 0.25 + 0.001 * k)
+        assert len(calls) <= 3
+
+    def test_replaced_concave_part_is_probed_afresh(self):
+        base = spec_sqrt()
+        assert base.shifted_modulus is True
+        spec = replace(base,
+                       concave_fn=lambda t, y: 2.0 * np.sqrt(np.clip(y, 0, None)))
+        assert spec.shifted_modulus is False
+
 
 # ---------------------------------------------------------------------------
 # control containers
@@ -120,6 +140,15 @@ class TestControlProcess:
         with pytest.raises(ValueError):
             ControlProcess(grid=grid, values=-np.ones((4, 2)),
                            deterministic=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN slips past the sign check, so finiteness is its own check
+        grid = TimeGrid(horizon=1.0, steps=4)
+        vals = np.full((4, 2), 0.5)
+        vals[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ControlProcess(grid=grid, values=vals, deterministic=False)
 
     def test_step_function_length_checked(self):
         grid = TimeGrid(horizon=1.0, steps=10)

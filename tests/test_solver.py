@@ -145,6 +145,16 @@ def test_negative_terminal_rejected():
         S.solve_backward_euler(S.spec_sqrt(), np.full(100, -1.0), ens)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_terminal_rejected(bad):
+    # NaN slips past the sign check, so finiteness is its own check
+    ens = ensemble(n=10, m=100, seed=9)
+    xi = np.ones(100)
+    xi[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        S.solve_backward_euler(S.spec_sqrt(), xi, ens)
+
+
 def test_fixed_point_divergence_reports_step():
     ens = E.simulate_brownian(E.TimeGrid(1.0, 2), 1, 1, 10)
     stiff = S.GeneratorSpec(concave_fn=lambda t, y: 10.0 * y, phi=None,
