@@ -75,4 +75,11 @@ from .transform import (  # noqa: F401
     transformed_generator,
 )
 
-from .cli import main as cli_main  # noqa: F401
+
+def __getattr__(name):
+    # cli is loaded on first use, so `python -m peanobsde.cli` does not find
+    # it already imported by the package
+    if name == "cli_main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -101,7 +101,6 @@ class ExperimentConfig:
     params: dict
     out_dir: str
     fmt: str
-    threads: int = 1
 
     def grid(self) -> TimeGrid:
         return TimeGrid(horizon=self.horizon, steps=self.steps)
@@ -170,8 +169,7 @@ def _as_int(section: str, key: str, raw: str) -> int:
 
 def parse_config(path: str, seed_override: int | None = None,
                  out_override: str | None = None,
-                 fmt_override: str | None = None,
-                 threads: int = 1) -> ExperimentConfig:
+                 fmt_override: str | None = None) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -240,7 +238,7 @@ def parse_config(path: str, seed_override: int | None = None,
     return ExperimentConfig(scenario=scenario, generator=generator,
                             terminal=terminal, horizon=horizon, steps=steps,
                             paths=paths, dim=dim, seed=seed, params=params,
-                            out_dir=out_dir, fmt=fmt, threads=threads)
+                            out_dir=out_dir, fmt=fmt)
 
 
 def build_generator(generator: dict) -> GeneratorSpec:
@@ -908,7 +906,6 @@ def run(cfg: ExperimentConfig) -> tuple:
     report = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
-        "threads_hint": cfg.threads,
         "wall_clock_seconds": wall,
         "verdicts": [v.as_dict() for v in result.verdicts],
         "pre_flight": [v.as_dict() for v in pre],
@@ -944,8 +941,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (unsigned 64-bit)")
         p.add_argument("--out", default=None, help="override output dir")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; never changes results")
         p.add_argument("--format", default=None,
                        choices=("csv", "json", "both"))
 
@@ -965,8 +960,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, seed_override=args.seed,
-                           out_override=args.out, fmt_override=args.format,
-                           threads=args.threads)
+                           out_override=args.out, fmt_override=args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -997,9 +991,7 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
     for v in report["verdicts"]:
-        tag = "PASS" if v["passed"] else "FAIL"
-        print(f"[{tag}] {v['name']}: value {v['value']!r}, "
-              f"tolerance {v['tolerance']!r}")
+        print(Verdict(**v).line())
     print(f"wall clock: {report['wall_clock_seconds']:.2f}s, "
           f"seed {report['seed']}, outputs in {cfg.out_dir}")
     return EXIT_OK if all_passed else EXIT_VERDICT

@@ -22,8 +22,8 @@ from scipy.interpolate import PchipInterpolator
 from .engine import (PathEnsemble, TimeGrid, conditional_expectation,
                      girsanov_weights)
 from .peano import conjugate, integral_H, inverse_H, scale_function
-from .solver import (FixedPointDivergenceError, GeneratorSpec, SolutionField,
-                     SolverError, SolverOptions)
+from .solver import (GeneratorSpec, SolutionField, SolverError, SolverOptions,
+                     backward_kernel)
 
 __all__ = [
     "InadmissibleControlError",
@@ -214,7 +214,7 @@ def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
     """
     opts = opts or SolverOptions()
     grid = ensemble.grid
-    n, m, d = ensemble.increments.shape
+    n, m, _ = ensemble.increments.shape
     if control.grid.steps != n or control.values.shape[1] not in (1, m):
         raise ValueError("control does not match the ensemble")
     xi = np.asarray(xi, dtype=float).reshape(-1)
@@ -240,62 +240,16 @@ def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
                 f"conjugate diverges at step {i}: control takes a value "
                 f"with infinite f*")
 
-    dt = grid.dt
-    y = np.empty((n + 1, m))
-    z = np.zeros((n, m, d))
-    y[n] = xi
-    degraded = 0
-    max_iters = 0
-    for i in range(n - 1, -1, -1):
-        if opts.deterministic:
-            cond = y[i + 1].copy()
-        else:
-            for j in range(d):
-                z[i, :, j] = conditional_expectation(
-                    ensemble, y[i + 1] * ensemble.increments[i, :, j], i,
-                    degree=opts.degree) / dt
-            cond, info = conditional_expectation(ensemble, y[i + 1], i,
-                                                 degree=opts.degree,
-                                                 full_output=True)
-            degraded += int(info.degraded)
-        qi = qv[i]
-        si = star_vals[i]
+    def driver(i, t, yv, zv):
+        out = qv[i] * yv + star_vals[i]
+        if spec.monotone_fn is not None:
+            out = out + spec.monotone_fn(t, yv)
+        if spec.lipschitz_fn is not None:
+            out = out + spec.lipschitz_fn(t, yv, zv)
+        return out
 
-        def driver(t, yv, zv):
-            out = qi * yv + si
-            if spec.monotone_fn is not None:
-                out = out + spec.monotone_fn(t, yv)
-            if spec.lipschitz_fn is not None:
-                out = out + spec.lipschitz_fn(t, yv, zv)
-            return out
-
-        # damped implicit step, same contract as the primal solver
-        yi = cond.copy()
-        w = np.ones(m)
-        prev = np.zeros(m)
-        converged = False
-        resid = math.inf
-        for it in range(1, opts.max_inner + 1):
-            target = cond + dt * driver(nodes[i], np.maximum(yi, opts.floor),
-                                        z[i])
-            update = target - yi
-            resid = float(np.max(np.abs(update)
-                                 / np.maximum(1.0, np.abs(target))))
-            if resid <= opts.tol:
-                yi = target
-                max_iters = max(max_iters, it)
-                converged = True
-                break
-            w[update * prev < 0.0] *= 0.5
-            yi = yi + w * update
-            prev = update
-        if not converged:
-            raise FixedPointDivergenceError(i, resid)
-        y[i] = yi
-    diag = {"scheme": "controlled_engine", "control": control.label,
-            "degraded_regressions": degraded,
-            "max_inner_iterations": max_iters,
-            "deterministic": opts.deterministic}
+    y, z, _, diag = backward_kernel(driver, xi, ensemble, opts)
+    diag.update(scheme="controlled_engine", control=control.label)
     return SolutionField(grid=grid, y=y, z=z, diagnostics=diag)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "with_monotone_part",
     "with_lipschitz_part",
     "assumption_audit",
+    "backward_kernel",
     "solve_backward_euler",
     "solve_truncated_picard",
     "solve_deterministic_ode",
@@ -362,42 +363,85 @@ class SolverOptions:
     deterministic: bool = False
 
 
-def _implicit_step(spec: GeneratorSpec, t: float, m_cond: np.ndarray,
-                   z: np.ndarray, dt: float, opts: SolverOptions,
-                   step_index: int) -> tuple[np.ndarray, int, int]:
-    """Solve y = m + dt*g(t, max(y, floor), z) per path by damped iteration."""
+def _implicit_step(driver: Callable, i: int, t: float, m_cond: np.ndarray,
+                   z: np.ndarray, dt: float,
+                   opts: SolverOptions) -> tuple[np.ndarray, int, int]:
+    """Solve y = m + dt*driver(i, t, max(y, floor), z) per path by damped
+    iteration."""
     y = m_cond.copy()
     w = np.ones_like(y)
     prev_update = np.zeros_like(y)
-    floor_hits = 0
+    resid = math.inf
     for it in range(1, opts.max_inner + 1):
-        y_eval = np.maximum(y, opts.floor)
-        floor_hits = int(np.count_nonzero(y < opts.floor))
-        target = m_cond + dt * spec(t, y_eval, z)
+        target = m_cond + dt * driver(i, t, np.maximum(y, opts.floor), z)
         update = target - y
         resid = float(np.max(np.abs(update) / np.maximum(1.0, np.abs(target))))
         if resid <= opts.tol:
-            return target, it, floor_hits
+            # floor hits of the last iterate, counted once per step
+            return target, it, int(np.count_nonzero(y < opts.floor))
         # halve the relaxation weight on paths whose update flips sign
-        osc = update * prev_update < 0.0
-        w[osc] *= 0.5
+        w[update * prev_update < 0.0] *= 0.5
         y = y + w * update
         prev_update = update
-    raise FixedPointDivergenceError(step_index, resid)
+    raise FixedPointDivergenceError(i, resid)
+
+
+def backward_kernel(driver: Callable, xi: np.ndarray, ensemble: PathEnsemble,
+                    opts: SolverOptions, centre_z: bool = False) -> tuple:
+    """Implicit-in-y Euler with regression conditioning for any driver.
+
+    driver(i, t, y, z) is the driver on step i. Per step: cond is the
+    regression of y_next on the state, z the slope statistic
+    E[target * dB | state]/dt with target y_next (y_next - cond when
+    centre_z is set), and y solves the damped fixed point of the implicit
+    relation. In deterministic mode conditioning is the identity and z is
+    zero. Returns (y, z, extrapolated, diagnostics), where extrapolated flags
+    the path-nodes whose regression leverage exceeds ten times the node mean.
+    """
+    grid = ensemble.grid
+    n, m, d = ensemble.increments.shape
+    dt = grid.dt
+    nodes = grid.nodes
+    y = np.empty((n + 1, m))
+    z = np.zeros((n, m, d))
+    extrapolated = np.zeros((n + 1, m), dtype=bool)
+    y[n] = xi
+    max_iters = floor_hits = degraded = 0
+    for i in range(n - 1, -1, -1):
+        if opts.deterministic:
+            cond = y[i + 1].copy()
+        else:
+            cond, info = conditional_expectation(ensemble, y[i + 1], i,
+                                                 degree=opts.degree,
+                                                 full_output=True)
+            degraded += int(info.degraded)
+            if i > 0:
+                lev = info.leverage
+                extrapolated[i] = lev > 10.0 * float(lev.mean())
+            target = y[i + 1] - cond if centre_z else y[i + 1]
+            for j in range(d):
+                z[i, :, j] = conditional_expectation(
+                    ensemble, target * ensemble.increments[i, :, j], i,
+                    degree=opts.degree) / dt
+        y[i], its, hits = _implicit_step(driver, i, nodes[i], cond, z[i], dt,
+                                         opts)
+        max_iters = max(max_iters, its)
+        floor_hits += hits
+    diag = {"max_inner_iterations": max_iters, "floor_hits": floor_hits,
+            "degraded_regressions": degraded,
+            "deterministic": opts.deterministic}
+    return y, z, extrapolated, diag
 
 
 def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
                          ensemble: PathEnsemble,
                          opts: SolverOptions | None = None) -> SolutionField:
-    """Implicit-in-y Euler with regression conditioning.
+    """Implicit-in-y Euler with regression conditioning on the driver spec.
 
-    Per step: z is the regression slope statistic E[y_next * dB | state]/dt,
-    then y solves the damped fixed point of the implicit relation. In
-    deterministic mode conditioning is the identity and z is zero.
+    The scheme is backward_kernel's, with the uncentered slope target.
     """
     opts = opts or SolverOptions()
-    grid = ensemble.grid
-    n, m, d = ensemble.increments.shape
+    m = ensemble.paths
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != m:
         raise ValueError(f"terminal values: {xi.shape[0]} entries for {m} paths")
@@ -405,34 +449,10 @@ def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
         raise ValueError("terminal values must be finite")
     if np.any(xi < 0.0):
         raise ValueError("terminal values must be nonnegative")
-    dt = grid.dt
-    nodes = grid.nodes
-    y = np.empty((n + 1, m))
-    z = np.zeros((n, m, d))
-    y[n] = xi
-    max_iters = 0
-    floor_hits = 0
-    degraded = 0
-    for i in range(n - 1, -1, -1):
-        if opts.deterministic:
-            m_cond = y[i + 1].copy()
-        else:
-            for j in range(d):
-                z[i, :, j] = conditional_expectation(
-                    ensemble, y[i + 1] * ensemble.increments[i, :, j], i,
-                    degree=opts.degree) / dt
-            m_cond, info = conditional_expectation(ensemble, y[i + 1], i,
-                                                   degree=opts.degree,
-                                                   full_output=True)
-            degraded += int(info.degraded)
-        y[i], its, hits = _implicit_step(spec, nodes[i], m_cond, z[i], dt,
-                                         opts, i)
-        max_iters = max(max_iters, its)
-        floor_hits += hits
-    diag = {"max_inner_iterations": max_iters, "floor_hits": floor_hits,
-            "degraded_regressions": degraded, "scheme": "backward_euler",
-            "deterministic": opts.deterministic}
-    return SolutionField(grid=grid, y=y, z=z, diagnostics=diag)
+    y, z, _, diag = backward_kernel(lambda i, t, yv, zv: spec(t, yv, zv), xi,
+                                    ensemble, opts)
+    diag["scheme"] = "backward_euler"
+    return SolutionField(grid=ensemble.grid, y=y, z=z, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

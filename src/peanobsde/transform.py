@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .engine import PathEnsemble, TimeGrid, conditional_expectation
-from .solver import FixedPointDivergenceError, SolutionField, SolverOptions
+from .engine import PathEnsemble, TimeGrid
+from .solver import SolutionField, SolverOptions, backward_kernel
 
 __all__ = [
     "SpecialGenerator",
@@ -239,66 +239,6 @@ class SpecialSolveResult:
         }
 
 
-def _backward_euler_generic(driver, grid: TimeGrid, xi: np.ndarray,
-                            ensemble: PathEnsemble,
-                            opts: SolverOptions) -> tuple:
-    """Implicit-in-y Euler loop for an arbitrary per-step driver callable.
-
-    driver(i, t, y, z) -> array; same damping and floor policy as the primal
-    solver. Returns (y, z, extrapolated mask, max_inner, degraded).
-    """
-    n, m, d = ensemble.increments.shape
-    dt = grid.dt
-    nodes = grid.nodes
-    y = np.empty((n + 1, m))
-    z = np.zeros((n, m, d))
-    extrapolated = np.zeros((n + 1, m), dtype=bool)
-    y[n] = xi
-    degraded = 0
-    max_iters = 0
-    for i in range(n - 1, -1, -1):
-        if opts.deterministic:
-            cond = y[i + 1].copy()
-        else:
-            cond, info = conditional_expectation(ensemble, y[i + 1], i,
-                                                 degree=opts.degree,
-                                                 full_output=True)
-            degraded += int(info.degraded)
-            if i > 0:
-                lev = info.leverage
-                extrapolated[i] = lev > 10.0 * float(lev.mean())
-            # center the slope target: the quadratic-in-z driver turns
-            # regression variance into positive bias if left uncentered
-            mart = y[i + 1] - cond
-            for j in range(d):
-                z[i, :, j] = conditional_expectation(
-                    ensemble, mart * ensemble.increments[i, :, j], i,
-                    degree=opts.degree) / dt
-        yi = cond.copy()
-        w = np.ones(m)
-        prev = np.zeros(m)
-        converged = False
-        resid = math.inf
-        for it in range(1, opts.max_inner + 1):
-            target = cond + dt * driver(i, nodes[i],
-                                        np.maximum(yi, opts.floor), z[i])
-            update = target - yi
-            resid = float(np.max(np.abs(update)
-                                 / np.maximum(1.0, np.abs(target))))
-            if resid <= opts.tol:
-                yi = target
-                max_iters = max(max_iters, it)
-                converged = True
-                break
-            w[update * prev < 0.0] *= 0.5
-            yi = yi + w * update
-            prev = update
-        if not converged:
-            raise FixedPointDivergenceError(i, resid)
-        y[i] = yi
-    return y, z, extrapolated, max_iters, degraded
-
-
 def solve_special(sg: SpecialGenerator, xi: np.ndarray,
                   ensemble: PathEnsemble,
                   opts: SolverOptions | None = None) -> SpecialSolveResult:
@@ -323,17 +263,13 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
     if sg.z_norm is not None:
         homogeneity_audit(sg.z_norm, dim=d)
 
-    def direct_driver(i, t, y, z):
-        return special_driver(sg, t, y, z)
-
-    y_dir, z_dir, extrap, it_dir, deg_dir = _backward_euler_generic(
-        direct_driver, grid, xi, ensemble, opts)
-    direct = SolutionField(
-        grid=grid, y=y_dir, z=z_dir,
-        diagnostics={"scheme": "special_direct", "label": sg.label,
-                     "max_inner_iterations": it_dir,
-                     "degraded_regressions": deg_dir,
-                     "deterministic": opts.deterministic})
+    # center the slope target: the quadratic-in-z driver turns regression
+    # variance into positive bias if left uncentered
+    y_dir, z_dir, extrap, diag_dir = backward_kernel(
+        lambda i, t, y, z: special_driver(sg, t, y, z), xi, ensemble, opts,
+        centre_z=True)
+    diag_dir.update(scheme="special_direct", label=sg.label)
+    direct = SolutionField(grid=grid, y=y_dir, z=z_dir, diagnostics=diag_dir)
 
     integ = _k2_cumulative(sg, grid)
     a = sg.alpha
@@ -345,16 +281,12 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
 
     # leverage depends only on the shared design matrix, so the direct
     # route's mask applies to both
-    y_tr, z_tr, _, it_tr, deg_tr = _backward_euler_generic(
-        transformed_driver, grid, xi_t, ensemble, opts)
+    y_tr, z_tr, _, diag_tr = backward_kernel(
+        transformed_driver, xi_t, ensemble, opts, centre_z=True)
+    diag_tr.update(scheme="special_via_transform", label=sg.label)
     tf = TransformedField(grid=grid, y=y_tr, z=z_tr, k2_integral=integ)
     y_back, z_back = invert_change_of_variables(sg, tf)
-    via = SolutionField(
-        grid=grid, y=y_back, z=z_back,
-        diagnostics={"scheme": "special_via_transform", "label": sg.label,
-                     "max_inner_iterations": it_tr,
-                     "degraded_regressions": deg_tr,
-                     "deterministic": opts.deterministic})
+    via = SolutionField(grid=grid, y=y_back, z=z_back, diagnostics=diag_tr)
 
     dy = np.abs(direct.y - via.y)
     gap = float(dy.max())

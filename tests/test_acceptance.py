@@ -325,10 +325,8 @@ def test_10_csv_reproducibility(tmp_path):
     cfg = os.path.join(CONFIGS, "uniqueness_convergence.ini")
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
-    assert cli_main(["run", "--config", cfg, "--out", a,
-                     "--threads", "1"]) == 0
-    assert cli_main(["run", "--config", cfg, "--out", b,
-                     "--threads", "4"]) == 0
+    assert cli_main(["run", "--config", cfg, "--out", a]) == 0
+    assert cli_main(["run", "--config", cfg, "--out", b]) == 0
 
     names = sorted(n for n in os.listdir(a) if n.endswith(".csv"))
     assert names
@@ -340,7 +338,7 @@ def test_10_csv_reproducibility(tmp_path):
             blob_b = fh.read()
         identical += int(blob_a == blob_b)
 
-    check("rerun with a different thread hint reproduces every CSV "
-          "byte for byte (identical files / total)",
+    check("rerun reproduces every CSV byte for byte "
+          "(identical files / total)",
           (identical, len(names)), "all",
           identical == len(names))

@@ -167,6 +167,39 @@ def test_fixed_point_divergence_reports_step():
     assert err.value.step == 1
 
 
+def _primal_route(ens, xi, opts):
+    return [S.solve_backward_euler(S.spec_sqrt(), xi, ens, opts)]
+
+
+def _control_route(ens, xi, opts):
+    from peanobsde.control import constant_control, solve_controlled
+    ctrl = constant_control(ens.grid, ens.paths, 1.0)
+    return [solve_controlled(S.spec_sqrt(), ctrl, xi, ens, opts,
+                             route="engine")]
+
+
+def _transform_route(ens, xi, opts):
+    from peanobsde.transform import SpecialGenerator, solve_special
+    res = solve_special(SpecialGenerator(alpha=0.5, c=1.0, k1=1.0), xi, ens,
+                        opts)
+    return [res.direct, res.via_transform]
+
+
+@pytest.mark.parametrize("route", [_primal_route, _control_route,
+                                   _transform_route],
+                         ids=["primal", "control", "transform"])
+def test_backward_kernel_contract_is_shared(route):
+    ens = ensemble(n=5, m=200, seed=15)
+    xi = np.ones(200)
+    with pytest.raises(S.FixedPointDivergenceError) as err:
+        route(ens, xi, S.SolverOptions(max_inner=1))
+    assert err.value.step == ens.grid.steps - 1
+    for fld in route(ens, xi, S.SolverOptions()):
+        for key in ("max_inner_iterations", "floor_hits",
+                    "degraded_regressions"):
+            assert key in fld.diagnostics, (fld.diagnostics, key)
+
+
 # --- truncated Picard --------------------------------------------------------
 
 def test_picard_sqrt_unit_terminal():
