@@ -20,7 +20,7 @@ from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 
 from .engine import (PathEnsemble, TimeGrid, conditional_expectation,
-                     girsanov_weights)
+                     extrapolated_nodes, girsanov_weights)
 from .peano import conjugate, integral_H, inverse_H, scale_function
 from .solver import (GeneratorSpec, SolutionField, SolverError, SolverOptions,
                      backward_kernel)
@@ -240,15 +240,20 @@ def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
                 f"conjugate diverges at step {i}: control takes a value "
                 f"with infinite f*")
 
-    def driver(i, t, yv, zv):
-        out = qv[i] * yv + star_vals[i]
-        if spec.monotone_fn is not None:
-            out = out + spec.monotone_fn(t, yv)
-        if spec.lipschitz_fn is not None:
-            out = out + spec.lipschitz_fn(t, yv, zv)
-        return out
+    def driver(i, t, zv):
+        q, star = qv[i], star_vals[i]
 
-    y, z, _, diag = backward_kernel(driver, xi, ensemble, opts)
+        def g(yv):
+            out = q * yv + star
+            if spec.monotone_fn is not None:
+                out = out + spec.monotone_fn(t, yv)
+            if spec.lipschitz_fn is not None:
+                out = out + spec.lipschitz_fn(t, yv, zv)
+            return out
+
+        return g
+
+    y, z, diag = backward_kernel(driver, xi, ensemble, opts)
     diag.update(scheme="controlled_engine", control=control.label)
     return SolutionField(grid=grid, y=y, z=z, diagnostics=diag)
 
@@ -463,7 +468,6 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
     # at the horizon the transform and its inverse cancel exactly
     bound[n] = damp * xi_bar
     se = None if deterministic else np.zeros((n + 1, m))
-    extrapolated = np.zeros((n + 1, m), dtype=bool)
     for i in range(n):
         remaining = horizon - nodes[i]
         if deterministic:
@@ -491,9 +495,6 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
             se_y = (info_y.residual_std
                     * np.sqrt(np.maximum(info_y.leverage, 0.0)))
             se[i] = np.hypot(se_bound, se_y)
-            # leverage depends only on the shared design matrix
-            lev = info_y.leverage
-            extrapolated[i] = lev > 10.0 * float(lev.mean())
     slack = solution.y - bound
     if deterministic:
         worst = float(np.max(-slack))
@@ -502,6 +503,10 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
                                  worst_violation=worst,
                                  tight_error=float(np.max(np.abs(slack))))
     margin = slack + sigma_tolerance * se
+    # leverage depends only on the shared design. Row 0's design is the
+    # constant column, whose leverage is 1/M on every path up to rounding,
+    # so row 0 is never excluded.
+    extrapolated = extrapolated_nodes(ensemble, degree)
     kept = np.where(extrapolated, np.inf, margin)
     worst = float(np.max(-kept))
     if extrapolated.any():

@@ -23,6 +23,7 @@ __all__ = [
     "simulate_brownian",
     "basis_matrix",
     "conditional_expectation",
+    "extrapolated_nodes",
     "girsanov_weights",
     "sample_terminal",
     "ensemble_to_csv",
@@ -53,12 +54,27 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathEnsemble:
+    """Brownian increments and positions per path.
+
+    The arrays are taken as fixed once the ensemble is built (simulate_brownian
+    makes them read-only): regression facts that depend only on the design,
+    namely the latest step's design matrix and each step's rank decision and
+    leverage, are cached on the instance. dataclasses.replace builds a new
+    instance with empty caches.
+    """
+
     grid: TimeGrid
     paths: int
     dim: int
     seed: int
     increments: np.ndarray  # (N, M, d)
     cumulative: np.ndarray  # (N+1, M, d), cumulative[0] == 0
+    # (step, degree) -> design, one slot; a design costs M x columns floats
+    _design: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    # (step, degree) -> {"degraded": bool, "leverage": array}
+    _facts: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def terminal(self) -> np.ndarray:
@@ -94,6 +110,8 @@ def simulate_brownian(grid: TimeGrid, paths: int, dim: int = 1,
     b = np.empty((n + 1, paths, dim))
     b[0] = 0.0
     np.cumsum(db, axis=0, out=b[1:])
+    db.flags.writeable = False
+    b.flags.writeable = False
     return PathEnsemble(grid=grid, paths=paths, dim=dim, seed=seed,
                         increments=db, cumulative=b)
 
@@ -107,7 +125,20 @@ class RegressionInfo:
     coefficients: np.ndarray
     degraded: bool
     residual_std: float
-    leverage: np.ndarray  # hat-matrix diagonal per path
+    ensemble: PathEnsemble = field(repr=False)
+    step: int
+    degree: int | None
+
+    @property
+    def leverage(self) -> np.ndarray:
+        """Hat-matrix diagonal per path, computed on first read (read-only)."""
+        return _leverage(self.ensemble, self.step, self.degree)
+
+
+def _resolved_degree(ensemble: PathEnsemble, degree: int | None) -> int:
+    if degree is None:
+        return 3 if ensemble.dim == 1 else 2
+    return degree
 
 
 def basis_matrix(ensemble: PathEnsemble, step: int,
@@ -121,8 +152,7 @@ def basis_matrix(ensemble: PathEnsemble, step: int,
         return np.ones((ensemble.paths, 1))
     x = ensemble.cumulative[step]  # (M, d)
     d = ensemble.dim
-    if degree is None:
-        degree = 3 if d == 1 else 2
+    degree = _resolved_degree(ensemble, degree)
     if d == 1:
         v = x[:, 0]
         return np.vander(v, degree + 1, increasing=True)
@@ -133,6 +163,62 @@ def basis_matrix(ensemble: PathEnsemble, step: int,
             for k in range(j, d):
                 cols.append(x[:, j] * x[:, k])
     return np.column_stack(cols)
+
+
+def _cached_design(ensemble: PathEnsemble, key: tuple) -> np.ndarray:
+    # one slot: the regressions of a backward step share one design, and
+    # keeping every step's design would cost M x columns floats per step
+    slot = ensemble._design
+    x = slot.get(key)
+    if x is None:
+        x = basis_matrix(ensemble, *key)
+        x.flags.writeable = False
+        slot.clear()
+        slot[key] = x
+    return x
+
+
+def _ridge_gram(x: np.ndarray) -> np.ndarray:
+    return x.T @ x + 1.0e-8 * np.eye(x.shape[1])
+
+
+def _leverage(ensemble: PathEnsemble, step: int,
+              degree: int | None) -> np.ndarray:
+    """Hat-matrix diagonal of the (step, degree) design, cached on the
+    ensemble; the ridge hat matrix when lstsq finds the design
+    rank-deficient."""
+    key = (step, _resolved_degree(ensemble, degree))
+    facts = ensemble._facts.setdefault(key, {})
+    lev = facts.get("leverage")
+    if lev is None:
+        x = _cached_design(ensemble, key)
+        if "degraded" not in facts:
+            rank = np.linalg.lstsq(x, np.ones(ensemble.paths), rcond=None)[2]
+            facts["degraded"] = bool(rank < x.shape[1])
+        if facts["degraded"]:
+            lev = np.einsum("ij,ij->i", x @ np.linalg.inv(_ridge_gram(x)), x)
+        else:
+            q, _ = np.linalg.qr(x)
+            lev = np.einsum("ij,ij->i", q, q)
+        lev.flags.writeable = False
+        facts["leverage"] = lev
+    return lev
+
+
+def extrapolated_nodes(ensemble: PathEnsemble,
+                       degree: int | None = None) -> np.ndarray:
+    """(N+1, M) mask of path-nodes whose regression leverage exceeds ten
+    times the node mean.
+
+    Only rows 1..N-1 can be set: row 0 is a constant design, where every
+    path has the same leverage, and row N is never regressed.
+    """
+    n = ensemble.grid.steps
+    out = np.zeros((n + 1, ensemble.paths), dtype=bool)
+    for i in range(1, n):
+        lev = _leverage(ensemble, i, degree)
+        out[i] = lev > 10.0 * float(lev.mean())
+    return out
 
 
 def conditional_expectation(ensemble: PathEnsemble, target: np.ndarray,
@@ -148,28 +234,23 @@ def conditional_expectation(ensemble: PathEnsemble, target: np.ndarray,
     if y.shape[0] != ensemble.paths:
         raise ValueError(f"target has {y.shape[0]} entries for "
                          f"{ensemble.paths} paths")
-    x = basis_matrix(ensemble, step, degree)
+    key = (step, _resolved_degree(ensemble, degree))
+    x = _cached_design(ensemble, key)
     ncols = x.shape[1]
-    degraded = False
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < ncols:
-        degraded = True
-        gram = x.T @ x + 1.0e-8 * np.eye(ncols)
-        coef = np.linalg.solve(gram, x.T @ y)
+    degraded = bool(rank < ncols)
+    ensemble._facts.setdefault(key, {}).setdefault("degraded", degraded)
+    if degraded:
+        coef = np.linalg.solve(_ridge_gram(x), x.T @ y)
     fitted = x @ coef
     if not full_output:
         return fitted
     resid = y - fitted
     dof = max(ensemble.paths - ncols, 1)
     resid_std = float(np.sqrt(resid @ resid / dof))
-    if degraded:
-        gram = x.T @ x + 1.0e-8 * np.eye(ncols)
-        leverage = np.einsum("ij,ij->i", x @ np.linalg.inv(gram), x)
-    else:
-        q, _ = np.linalg.qr(x)
-        leverage = np.einsum("ij,ij->i", q, q)
     info = RegressionInfo(coefficients=coef, degraded=degraded,
-                          residual_std=resid_std, leverage=leverage)
+                          residual_std=resid_std, ensemble=ensemble,
+                          step=step, degree=degree)
     return fitted, info
 
 

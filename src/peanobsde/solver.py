@@ -362,18 +362,26 @@ class SolverOptions:
     degree: int | None = None
     deterministic: bool = False
 
+    def __post_init__(self):
+        if not self.max_inner >= 1:
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not (math.isfinite(self.floor) and self.floor >= 0.0):
+            raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
+        if self.degree is not None and not self.degree >= 1:
+            raise ValueError(f"degree must be None or >= 1, got {self.degree}")
 
-def _implicit_step(driver: Callable, i: int, t: float, m_cond: np.ndarray,
-                   z: np.ndarray, dt: float,
+
+def _implicit_step(g: Callable, i: int, m_cond: np.ndarray, dt: float,
                    opts: SolverOptions) -> tuple[np.ndarray, int, int]:
-    """Solve y = m + dt*driver(i, t, max(y, floor), z) per path by damped
-    iteration."""
+    """Solve y = m + dt*g(max(y, floor)) per path by damped iteration."""
     y = m_cond.copy()
     w = np.ones_like(y)
     prev_update = np.zeros_like(y)
     resid = math.inf
     for it in range(1, opts.max_inner + 1):
-        target = m_cond + dt * driver(i, t, np.maximum(y, opts.floor), z)
+        target = m_cond + dt * g(np.maximum(y, opts.floor))
         update = target - y
         resid = float(np.max(np.abs(update) / np.maximum(1.0, np.abs(target))))
         if resid <= opts.tol:
@@ -390,13 +398,13 @@ def backward_kernel(driver: Callable, xi: np.ndarray, ensemble: PathEnsemble,
                     opts: SolverOptions, centre_z: bool = False) -> tuple:
     """Implicit-in-y Euler with regression conditioning for any driver.
 
-    driver(i, t, y, z) is the driver on step i. Per step: cond is the
-    regression of y_next on the state, z the slope statistic
-    E[target * dB | state]/dt with target y_next (y_next - cond when
-    centre_z is set), and y solves the damped fixed point of the implicit
-    relation. In deterministic mode conditioning is the identity and z is
-    zero. Returns (y, z, extrapolated, diagnostics), where extrapolated flags
-    the path-nodes whose regression leverage exceeds ten times the node mean.
+    driver(i, t, z) returns g, the driver on step i as a function of y alone,
+    so that whatever depends only on (t, z) is computed once per step. Per
+    step: cond is the regression of y_next on the state, z the slope
+    statistic E[target * dB | state]/dt with target y_next (y_next - cond
+    when centre_z is set), and y solves the damped fixed point of the
+    implicit relation. In deterministic mode conditioning is the identity
+    and z is zero. Returns (y, z, diagnostics).
     """
     grid = ensemble.grid
     n, m, d = ensemble.increments.shape
@@ -404,7 +412,6 @@ def backward_kernel(driver: Callable, xi: np.ndarray, ensemble: PathEnsemble,
     nodes = grid.nodes
     y = np.empty((n + 1, m))
     z = np.zeros((n, m, d))
-    extrapolated = np.zeros((n + 1, m), dtype=bool)
     y[n] = xi
     max_iters = floor_hits = degraded = 0
     for i in range(n - 1, -1, -1):
@@ -415,22 +422,19 @@ def backward_kernel(driver: Callable, xi: np.ndarray, ensemble: PathEnsemble,
                                                  degree=opts.degree,
                                                  full_output=True)
             degraded += int(info.degraded)
-            if i > 0:
-                lev = info.leverage
-                extrapolated[i] = lev > 10.0 * float(lev.mean())
             target = y[i + 1] - cond if centre_z else y[i + 1]
             for j in range(d):
                 z[i, :, j] = conditional_expectation(
                     ensemble, target * ensemble.increments[i, :, j], i,
                     degree=opts.degree) / dt
-        y[i], its, hits = _implicit_step(driver, i, nodes[i], cond, z[i], dt,
-                                         opts)
+        y[i], its, hits = _implicit_step(driver(i, nodes[i], z[i]), i, cond,
+                                         dt, opts)
         max_iters = max(max_iters, its)
         floor_hits += hits
     diag = {"max_inner_iterations": max_iters, "floor_hits": floor_hits,
             "degraded_regressions": degraded,
             "deterministic": opts.deterministic}
-    return y, z, extrapolated, diag
+    return y, z, diag
 
 
 def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
@@ -449,8 +453,8 @@ def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
         raise ValueError("terminal values must be finite")
     if np.any(xi < 0.0):
         raise ValueError("terminal values must be nonnegative")
-    y, z, _, diag = backward_kernel(lambda i, t, yv, zv: spec(t, yv, zv), xi,
-                                    ensemble, opts)
+    y, z, diag = backward_kernel(lambda i, t, zv: lambda yv: spec(t, yv, zv),
+                                 xi, ensemble, opts)
     diag["scheme"] = "backward_euler"
     return SolutionField(grid=ensemble.grid, y=y, z=z, diagnostics=diag)
 

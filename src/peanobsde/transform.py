@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .engine import PathEnsemble, TimeGrid
+from .engine import PathEnsemble, TimeGrid, extrapolated_nodes
 from .solver import SolutionField, SolverOptions, backward_kernel
 
 __all__ = [
@@ -27,7 +27,9 @@ __all__ = [
     "TransformedField",
     "SpecialSolveResult",
     "special_driver",
+    "special_step",
     "transformed_generator",
+    "transformed_step",
     "change_of_variables",
     "invert_change_of_variables",
     "solve_special",
@@ -119,16 +121,65 @@ def _k2_cumulative(sg: SpecialGenerator, grid: TimeGrid) -> np.ndarray:
     return out
 
 
+def special_step(sg: SpecialGenerator, t: float, z: np.ndarray) -> Callable:
+    """The original driver at fixed (t, z) as a function of y.
+
+    z carries the Brownian dimension on its last axis. Every factor that
+    depends only on t or z is computed here, once.
+    """
+    a = sg.alpha
+    c1 = sg.k1(t) ** (1.0 - a)
+    k2, k4, k3 = sg.k2(t), sg.k4(t), sg.k3(t)
+    kz = k3 * sg.gauge(z) if k3 != 0.0 else None
+
+    def g(y):
+        y = np.clip(np.asarray(y, dtype=float), 0.0, None)
+        out = c1 * y ** a + k2 * y + k4
+        if kz is not None:
+            out = out + kz
+        return out
+
+    return g
+
+
 def special_driver(sg: SpecialGenerator, t: float, y: np.ndarray,
                    z: np.ndarray) -> np.ndarray:
     """Original driver k1^{1-a} y^a + k2 y + k3|z| + k4 (y clipped at 0)."""
-    y = np.clip(np.asarray(y, dtype=float), 0.0, None)
+    y = np.asarray(y, dtype=float)
+    return special_step(sg, t, _promote_gradient(y, z))(y)
+
+
+def transformed_step(sg: SpecialGenerator, t: float, z: np.ndarray,
+                     k2_integral: float) -> Callable:
+    """The convex driver at fixed (t, z) as a function of y > 0.
+
+    z carries the Brownian dimension on its last axis; k2_integral is the
+    k2 integral from 0 to t. Every factor that depends only on t or z is
+    computed here, once.
+    """
     a = sg.alpha
-    out = (sg.k1(t) ** (1.0 - a)) * y ** a + sg.k2(t) * y + sg.k4(t)
+    growth = math.exp(k2_integral)
+    kbar1 = growth * sg.k1(t)
+    ktilde4 = (1.0 - a) ** (-a / (1.0 - a)) * growth * sg.k4(t)
+    gz = sg.gauge(z)
+    c0 = kbar1 ** (1.0 - a)
+    quad_z = a / (2.0 * (1.0 - a)) * gz ** 2
     k3 = sg.k3(t)
-    if k3 != 0.0:
-        out = out + k3 * sg.gauge(_promote_gradient(y, z))
-    return out
+    kz = k3 * gz if k3 != 0.0 else None
+    power = -a / (1.0 - a)
+
+    def g(y):
+        y = np.asarray(y, dtype=float)
+        if np.any(y <= 0.0):
+            raise ValueError("transformed driver needs y > 0")
+        out = c0 + quad_z / y
+        if kz is not None:
+            out = out + kz
+        if ktilde4 != 0.0:
+            out = out + ktilde4 * y ** power
+        return out
+
+    return g
 
 
 def transformed_generator(sg: SpecialGenerator, t: float, y: np.ndarray,
@@ -141,24 +192,10 @@ def transformed_generator(sg: SpecialGenerator, t: float, y: np.ndarray,
     The k2 integral from 0 to t is computed on demand when not supplied.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("transformed driver needs y > 0")
-    z = _promote_gradient(y, z)
-    a = sg.alpha
     if k2_integral is None:
         k2_integral, _ = integrate.quad(sg.k2, 0.0, t,
                                         epsabs=1e-13, epsrel=1e-12, limit=100)
-    growth = math.exp(k2_integral)
-    kbar1 = growth * sg.k1(t)
-    ktilde4 = (1.0 - a) ** (-a / (1.0 - a)) * growth * sg.k4(t)
-    gz = sg.gauge(z)
-    out = kbar1 ** (1.0 - a) + a / (2.0 * (1.0 - a)) * gz ** 2 / y
-    k3 = sg.k3(t)
-    if k3 != 0.0:
-        out = out + k3 * gz
-    if ktilde4 != 0.0:
-        out = out + ktilde4 * y ** (-a / (1.0 - a))
-    return out
+    return transformed_step(sg, t, _promote_gradient(y, z), k2_integral)(y)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +302,8 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
 
     # center the slope target: the quadratic-in-z driver turns regression
     # variance into positive bias if left uncentered
-    y_dir, z_dir, extrap, diag_dir = backward_kernel(
-        lambda i, t, y, z: special_driver(sg, t, y, z), xi, ensemble, opts,
+    y_dir, z_dir, diag_dir = backward_kernel(
+        lambda i, t, z: special_step(sg, t, z), xi, ensemble, opts,
         centre_z=True)
     diag_dir.update(scheme="special_direct", label=sg.label)
     direct = SolutionField(grid=grid, y=y_dir, z=z_dir, diagnostics=diag_dir)
@@ -274,19 +311,19 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
     integ = _k2_cumulative(sg, grid)
     a = sg.alpha
     xi_t = (math.exp(integ[n]) * xi) ** (1.0 - a) / (1.0 - a)
-
-    def transformed_driver(i, t, y, z):
-        return transformed_generator(sg, t, np.maximum(y, opts.floor), z,
-                                     k2_integral=float(integ[i]))
-
-    # leverage depends only on the shared design matrix, so the direct
-    # route's mask applies to both
-    y_tr, z_tr, _, diag_tr = backward_kernel(
-        transformed_driver, xi_t, ensemble, opts, centre_z=True)
+    # the kernel floors y before each driver call, so the y > 0 guard holds
+    # whenever opts.floor > 0
+    y_tr, z_tr, diag_tr = backward_kernel(
+        lambda i, t, z: transformed_step(sg, t, z, float(integ[i])), xi_t,
+        ensemble, opts, centre_z=True)
     diag_tr.update(scheme="special_via_transform", label=sg.label)
     tf = TransformedField(grid=grid, y=y_tr, z=z_tr, k2_integral=integ)
     y_back, z_back = invert_change_of_variables(sg, tf)
     via = SolutionField(grid=grid, y=y_back, z=z_back, diagnostics=diag_tr)
+    # leverage depends only on the shared design, so one mask serves both
+    # routes (all false in deterministic mode, where nothing is regressed)
+    extrap = (np.zeros((n + 1, m), dtype=bool) if opts.deterministic
+              else extrapolated_nodes(ensemble, opts.degree))
 
     dy = np.abs(direct.y - via.y)
     gap = float(dy.max())

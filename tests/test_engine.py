@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -303,3 +304,87 @@ def test_csv_export_roundtrip(tmp_path):
     out2 = tmp_path / "paths2.csv"
     E.ensemble_to_csv(ens, str(out2))
     assert out.read_bytes() == out2.read_bytes()
+
+
+# --- regression facts cached on the ensemble ---------------------------------
+
+def _direct_leverage(x):
+    q, _ = np.linalg.qr(x)
+    return np.einsum("ij,ij->i", q, q)
+
+
+def test_ensemble_arrays_are_read_only():
+    ens = make(n=4, m=50, seed=43)
+    with pytest.raises(ValueError):
+        ens.cumulative[1] = 0.0
+    with pytest.raises(ValueError):
+        ens.increments[0] = 0.0
+
+
+def test_replaced_ensemble_gets_fresh_regression_facts():
+    ens = make(n=4, m=400, seed=47)
+    target = np.cos(ens.cumulative[3, :, 0])
+    fitted, info = E.conditional_expectation(ens, target, 2, full_output=True)
+    lev = info.leverage
+    cum = ens.cumulative.copy()
+    cum[2] = np.tanh(cum[2])  # not affine, so the fitted span changes
+    copy = dataclasses.replace(ens, cumulative=cum)
+    fresh = E.PathEnsemble(grid=ens.grid, paths=ens.paths, dim=ens.dim,
+                           seed=ens.seed, increments=ens.increments,
+                           cumulative=cum)
+    fit_copy, info_copy = E.conditional_expectation(copy, target, 2,
+                                                    full_output=True)
+    fit_fresh, info_fresh = E.conditional_expectation(fresh, target, 2,
+                                                      full_output=True)
+    assert np.array_equal(fit_copy, fit_fresh)
+    assert np.array_equal(info_copy.leverage, info_fresh.leverage)
+    assert not np.array_equal(fit_copy, fitted)
+    assert not np.array_equal(info_copy.leverage, lev)
+
+
+def test_leverage_is_read_only_and_equals_direct_computation():
+    ens = make(n=4, m=300, seed=53)
+    target = ens.terminal[:, 0] ** 2
+    _, info = E.conditional_expectation(ens, target, 2, full_output=True)
+    lev = info.leverage
+    assert np.array_equal(lev, _direct_leverage(E.basis_matrix(ens, 2)))
+    assert not lev.flags.writeable
+    # degree None and the resolved degree 3 share one cache entry
+    _, info3 = E.conditional_expectation(ens, target, 2, degree=3,
+                                         full_output=True)
+    assert info3.leverage is lev
+
+
+def _count_qr(monkeypatch):
+    calls = []
+    qr = E.np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(E.np.linalg, "qr", counted)
+    return calls
+
+
+def test_primal_solve_computes_no_leverage(monkeypatch):
+    from peanobsde.solver import solve_backward_euler, spec_sqrt
+
+    ens = make(n=10, m=500, seed=59)
+    calls = _count_qr(monkeypatch)
+    solve_backward_euler(spec_sqrt(), np.ones(500), ens)
+    assert len(calls) == 0
+
+
+def test_special_solves_share_one_leverage_per_step(monkeypatch):
+    from peanobsde.transform import SpecialGenerator, solve_special
+
+    ens = make(n=10, m=500, seed=61)
+    xi = np.exp(0.5 * ens.terminal[:, 0] - 0.125)
+    sg = SpecialGenerator(alpha=0.5, c=1.0, k1=1.0)
+    calls = _count_qr(monkeypatch)
+    first = solve_special(sg, xi, ens)
+    second = solve_special(sg, xi, ens)
+    # one leverage per interior step 1..N-1, reused by the second solve
+    assert len(calls) == ens.grid.steps - 1
+    assert first.excluded_fraction == second.excluded_fraction

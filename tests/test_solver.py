@@ -419,3 +419,13 @@ def test_solution_csv_and_json(tmp_path):
     assert data["paths"] == 4
     assert data["y0_mean"] == sol.y0_mean
     assert "max_inner_iterations" in data["diagnostics"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_inner", 0), ("max_inner", -2), ("tol", 0.0), ("tol", -1e-8),
+    ("tol", math.nan), ("tol", math.inf), ("floor", -1e-10),
+    ("floor", math.nan), ("floor", math.inf), ("degree", 0),
+])
+def test_solver_options_reject_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        S.SolverOptions(**{field: value})

@@ -449,3 +449,60 @@ class TestStructuralInequalities:
         avg = 0.5 * (transformed_generator(sg, 0.4, y1, z1)
                      + transformed_generator(sg, 0.4, y2, z2))
         assert float(np.max(mid - avg)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# per-step driver factories
+# ---------------------------------------------------------------------------
+
+def _per_call_special(sg, t, y, z):
+    # reference: the formula evaluated in full on every call
+    y = np.clip(y, 0.0, None)
+    a = sg.alpha
+    out = (sg.k1(t) ** (1.0 - a)) * y ** a + sg.k2(t) * y + sg.k4(t)
+    k3 = sg.k3(t)
+    if k3 != 0.0:
+        out = out + k3 * sg.gauge(z)
+    return out
+
+
+def _per_call_transformed(sg, t, y, z, k2_integral):
+    # reference: the formula evaluated in full on every call
+    a = sg.alpha
+    growth = math.exp(k2_integral)
+    kbar1 = growth * sg.k1(t)
+    ktilde4 = (1.0 - a) ** (-a / (1.0 - a)) * growth * sg.k4(t)
+    gz = sg.gauge(z)
+    out = kbar1 ** (1.0 - a) + a / (2.0 * (1.0 - a)) * gz ** 2 / y
+    k3 = sg.k3(t)
+    if k3 != 0.0:
+        out = out + k3 * gz
+    if ktilde4 != 0.0:
+        out = out + ktilde4 * y ** (-a / (1.0 - a))
+    return out
+
+
+@pytest.mark.parametrize("pattern", ["k1_only", "all_terms"])
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_step_factories_match_per_call_drivers_bitwise(alpha, pattern):
+    from peanobsde import cli
+    from peanobsde.transform import (_k2_cumulative, special_step,
+                                     transformed_step)
+
+    sg = cli._matrix_instance(alpha, pattern)
+    grid = TimeGrid(horizon=1.0, steps=100)
+    integ = _k2_cumulative(sg, grid)
+    rng = np.random.default_rng(17)
+    m = 301
+    for i in (0, 41, 99):
+        t = float(grid.nodes[i])
+        y = 10.0 ** rng.uniform(-3.0, 1.0, m)
+        z = rng.normal(0.0, 2.0, (m, 1))
+        g_dir = special_step(sg, t, z)(y)
+        assert np.array_equal(g_dir, special_driver(sg, t, y, z))
+        assert np.array_equal(g_dir, _per_call_special(sg, t, y, z))
+        g_tr = transformed_step(sg, t, z, float(integ[i]))(y)
+        assert np.array_equal(g_tr, transformed_generator(
+            sg, t, y, z, k2_integral=float(integ[i])))
+        assert np.array_equal(g_tr, _per_call_transformed(
+            sg, t, y, z, float(integ[i])))
