@@ -19,6 +19,7 @@ from .peano import (  # noqa: F401
 )
 
 from .engine import (  # noqa: F401
+    Deterministic,
     PathEnsemble,
     TerminalSpec,
     TimeGrid,

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (constant_control, duality_gap, lower_bound_certificate)
-from .engine import TerminalSpec, TimeGrid, sample_terminal, simulate_brownian
+from .engine import (Deterministic, TerminalSpec, TimeGrid, sample_terminal,
+                     simulate_brownian)
 from .peano import FAMILY_NAMES, classify, make_family
 from .solver import (GeneratorSpec, SolutionField, SolverError, SolverOptions,
                      assumption_audit, maximal_solution, multiplicity_family,
@@ -329,14 +330,13 @@ def _sqrt_closed_form(cfg: ExperimentConfig) -> float | None:
     return (math.sqrt(v) + cfg.horizon / 2.0) ** 2
 
 
-def _exact_sqrt_field(cfg: ExperimentConfig, grid: TimeGrid,
-                      paths: int) -> SolutionField:
-    v = _as_float("terminal", "value", cfg.terminal.get("value", "1.0"))
-    level = (math.sqrt(v) + (grid.horizon - grid.nodes) / 2.0) ** 2
+def _exact_sqrt_field(grid: TimeGrid, terminal: float, paths: int,
+                      dim: int) -> SolutionField:
+    """The square-root equation's closed-form solution on `paths` copies."""
+    level = (math.sqrt(terminal) + (grid.horizon - grid.nodes) / 2.0) ** 2
     return SolutionField(grid=grid, y=np.tile(level[:, None], (1, paths)),
-                         z=np.zeros((grid.steps, paths, 1)),
-                         diagnostics={"deterministic": True,
-                                      "scheme": "closed_form"})
+                         z=np.zeros((grid.steps, paths, dim)),
+                         diagnostics={"scheme": "closed_form"})
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +372,8 @@ def _scenario_uniqueness(cfg: ExperimentConfig) -> ScenarioResult:
                                 seed=cfg.seed)
         xi = sample_terminal(term, ens)
         stoch = solve_backward_euler(spec, xi, ens).y0_mean
-        det_ens = simulate_brownian(grid, paths=2, dim=cfg.dim, seed=cfg.seed)
         det = solve_backward_euler(spec, np.full(2, _terminal_constant(cfg)),
-                                   det_ens,
-                                   SolverOptions(deterministic=True)).y0_mean
+                                   Deterministic(grid, 2, cfg.dim)).y0_mean
         rows.append((n, stoch, det, ode_y0))
         stoch_last = stoch
         if ref is not None:
@@ -441,16 +439,15 @@ def _scenario_multiplicity(cfg: ExperimentConfig) -> ScenarioResult:
         worst_resid = max(worst_resid, resid)
         rows.append((c, float(y[0]), resid))
 
-    opts = SolverOptions(deterministic=True, max_inner=60)
-    ens = simulate_brownian(grid, paths=2, dim=cfg.dim, seed=cfg.seed)
     spec = spec_sqrt()
     # integrating upward from zero data stays on the zero branch; the
     # implicit Euler iteration would drift to the positive one instead
     minimal = solve_deterministic_ode(
         lambda t, v: math.sqrt(max(v, 0.0)), 0.0, grid)
     minimal_sup = float(np.max(np.abs(minimal)))
-    extremal = maximal_solution(spec, np.zeros(2), ens,
-                                n_schedule=schedule, opts=opts)
+    extremal = maximal_solution(
+        spec, np.zeros(2), Deterministic(grid, 2, cfg.dim),
+        n_schedule=schedule, opts=SolverOptions(max_inner=60))
     level_rows = list(zip(extremal.diagnostics["schedule"],
                           extremal.diagnostics["y0_by_level"]))
 
@@ -483,17 +480,17 @@ def _scenario_duality(cfg: ExperimentConfig) -> ScenarioResult:
     excess = _param_float(cfg, "strict_excess", 1e-2)
     fb_tol = _param_float(cfg, "feedback_tolerance", 1e-3)
     grid = cfg.grid()
-    opts = SolverOptions(deterministic=True)
     paths = 2
-    ens = simulate_brownian(grid, paths=paths, dim=cfg.dim, seed=cfg.seed)
+    ens = Deterministic(grid, paths, cfg.dim)
     xi = np.full(paths, _terminal_constant(cfg))
 
     ref = _sqrt_closed_form(cfg)
-    primal = _exact_sqrt_field(cfg, grid, paths) if ref is not None else None
+    primal = (_exact_sqrt_field(grid, _terminal_constant(cfg), paths, cfg.dim)
+              if ref is not None else None)
 
     family = [constant_control(grid, paths, q) for q in q_grid]
     family.append("feedback")
-    report = duality_gap(spec, xi, ens, family, opts=opts, primal=primal)
+    report = duality_gap(spec, xi, ens, family, primal=primal)
 
     const_gaps = [report.y0_per_control[f"q={q}"] - report.y0_primal
                   for q in q_grid]
@@ -539,8 +536,7 @@ def _scenario_transform(cfg: ExperimentConfig) -> ScenarioResult:
     excl_tol = _param_float(cfg, "exclusion_tolerance", 0.02)
 
     det_grid = TimeGrid(horizon=cfg.horizon, steps=det_steps)
-    det_ens = simulate_brownian(det_grid, paths=2, dim=cfg.dim, seed=cfg.seed)
-    det_opts = SolverOptions(deterministic=True)
+    det_ens = Deterministic(det_grid, 2, cfg.dim)
     stoch_grid = cfg.grid()
     stoch_ens = simulate_brownian(stoch_grid, paths=cfg.paths, dim=cfg.dim,
                                   seed=cfg.seed)
@@ -554,7 +550,7 @@ def _scenario_transform(cfg: ExperimentConfig) -> ScenarioResult:
                              stoch_ens)
         for pattern in _MATRIX_PATTERNS:
             sg = _matrix_instance(alpha, pattern)
-            det = solve_special(sg, np.ones(2), det_ens, det_opts)
+            det = solve_special(sg, np.ones(2), det_ens)
             stoch = solve_special(sg, xi, stoch_ens)
             worst_det = max(worst_det, det.max_discrepancy)
             worst_rel = max(worst_rel, stoch.interior_relative_gap)
@@ -630,9 +626,8 @@ def _scenario_ez(cfg: ExperimentConfig) -> ScenarioResult:
 
     closed = ez_closed_form(ez, xi_const, 0.0, cfg.horizon)
     grid = TimeGrid(horizon=cfg.horizon, steps=det_steps)
-    ens = simulate_brownian(grid, paths=2, dim=cfg.dim, seed=cfg.seed)
-    res = solve_special(ez_to_special(ez), np.full(2, xi_const), ens,
-                        SolverOptions(deterministic=True))
+    res = solve_special(ez_to_special(ez), np.full(2, xi_const),
+                        Deterministic(grid, 2, cfg.dim))
 
     # fourth-order integration as an independent cross-check
     check_grid = TimeGrid(horizon=cfg.horizon, steps=64)
@@ -731,7 +726,10 @@ def _scenario_lower_bound(cfg: ExperimentConfig) -> ScenarioResult:
     # even basis degree: the lognormal conditional mean is convex in the
     # state, and an odd leading term biases the tail fit low right where
     # the bound's slack vanishes
-    degree = int(_param_float(cfg, "regression_degree", 4))
+    degree = _param_int(cfg, "regression_degree", 4)
+    if degree < 1:
+        raise ConfigError(f"[params] regression_degree must be >= 1, "
+                          f"got {degree}")
     grid = cfg.grid()
 
     ens = simulate_brownian(grid, paths=cfg.paths, dim=cfg.dim, seed=cfg.seed)
@@ -763,16 +761,10 @@ def _scenario_lower_bound(cfg: ExperimentConfig) -> ScenarioResult:
     tight_err = None
     if family == "sqrt" and "gradient_coeff" not in cfg.generator:
         level_terminal = _param_float(cfg, "tight_terminal", 1.0)
-        det_ens = simulate_brownian(grid, paths=2, dim=cfg.dim, seed=cfg.seed)
-        level = (math.sqrt(level_terminal)
-                 + (grid.horizon - grid.nodes) / 2.0) ** 2
-        exact = SolutionField(
-            grid=grid, y=np.tile(level[:, None], (1, 2)),
-            z=np.zeros((grid.steps, 2, cfg.dim)),
-            diagnostics={"deterministic": True, "scheme": "closed_form"})
+        exact = _exact_sqrt_field(grid, level_terminal, 2, cfg.dim)
         det_cert = lower_bound_certificate(
-            spec, np.full(2, level_terminal), det_ens, exact,
-            deterministic=True, sigma_tolerance=sigma_tol)
+            spec, np.full(2, level_terminal), Deterministic(grid, 2, cfg.dim),
+            exact, sigma_tolerance=sigma_tol)
         tight_err = det_cert.tight_error
         verdicts.append(Verdict(
             name=f"certificate is tight to {tight_tol!r} on the "

@@ -11,7 +11,6 @@ estimates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,9 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 
-from .engine import (PathEnsemble, TimeGrid, conditional_expectation,
-                     extrapolated_nodes, girsanov_weights)
+from .engine import (Deterministic, PathEnsemble, TimeGrid,
+                     conditional_expectation, extrapolated_nodes,
+                     girsanov_weights)
 from .peano import conjugate, integral_H, inverse_H, scale_function
 from .solver import (GeneratorSpec, SolutionField, SolverError, SolverOptions,
                      backward_kernel)
@@ -55,15 +55,13 @@ class NonpositiveSolutionError(SolverError):
 class ControlProcess:
     """Nonnegative control values, constant on each grid step.
 
-    values has shape (N, M) or (N, 1); a deterministic control is one whose
-    value at a step is the same on every path. Adaptedness holds by
-    construction for the provided builders (constants, step functions, and
-    the feedback control read off the solution at the left node).
+    values has shape (N, M) or (N, 1). Adaptedness holds by construction
+    for the provided builders (constants, step functions, and the feedback
+    control read off the solution at the left node).
     """
 
     grid: TimeGrid
     values: np.ndarray
-    deterministic: bool
     label: str = ""
     moment_report: dict | None = None
 
@@ -77,14 +75,18 @@ class ControlProcess:
         if np.any(self.values < 0.0):
             raise ValueError("control values must be nonnegative")
 
+    @property
+    def deterministic(self) -> bool:
+        """True when every step's spread across paths is below 1e-12."""
+        return bool(np.all(np.ptp(self.values, axis=1) < 1e-12))
+
 
 def constant_control(grid: TimeGrid, paths: int, value: float,
                      label: str | None = None) -> ControlProcess:
     if value < 0.0:
         raise ValueError(f"control constant must be >= 0, got {value}")
     vals = np.full((grid.steps, paths), float(value))
-    return ControlProcess(grid=grid, values=vals, deterministic=True,
-                          label=label or f"q={value}")
+    return ControlProcess(grid=grid, values=vals, label=label or f"q={value}")
 
 
 def step_function_control(grid: TimeGrid, paths: int,
@@ -96,8 +98,7 @@ def step_function_control(grid: TimeGrid, paths: int,
         raise ValueError(f"need {grid.steps} step values, "
                          f"got {step_values.shape[0]}")
     vals = np.tile(step_values[:, None], (1, paths))
-    return ControlProcess(grid=grid, values=vals, deterministic=True,
-                          label=label)
+    return ControlProcess(grid=grid, values=vals, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,8 @@ def _concave_derivative(spec: GeneratorSpec, t: float,
 # ---------------------------------------------------------------------------
 
 def _closed_form_controlled(spec: GeneratorSpec, control: ControlProcess,
-                            xi: np.ndarray, ensemble: PathEnsemble,
+                            xi: np.ndarray,
+                            ensemble: PathEnsemble | Deterministic,
                             opts: SolverOptions) -> SolutionField:
     """Discounted representation for deterministic q and purely concave f.
 
@@ -164,7 +166,7 @@ def _closed_form_controlled(spec: GeneratorSpec, control: ControlProcess,
     by quadrature so time-dependent offsets stay exact.
     """
     grid = ensemble.grid
-    n, m, d = ensemble.increments.shape
+    n, m, d = grid.steps, ensemble.paths, ensemble.dim
     dt = grid.dt
     nodes = grid.nodes
     q_step = control.values[:, 0]
@@ -186,23 +188,17 @@ def _closed_form_controlled(spec: GeneratorSpec, control: ControlProcess,
     y[n] = xi
     degraded = 0
     for i in range(n - 1, -1, -1):
-        if opts.deterministic:
-            cond = xi.copy()
-        else:
-            cond, info = conditional_expectation(ensemble, xi, i,
-                                                 degree=opts.degree,
-                                                 full_output=True)
-            degraded += int(info.degraded)
+        cond, bad = ensemble.condition(xi, i, opts.degree)
+        degraded += int(bad)
         y[i] = discount_to_T[i] * cond + accrual[i]
     diag = {"scheme": "controlled_closed_form", "control": control.label,
-            "degraded_regressions": degraded,
-            "deterministic": opts.deterministic}
+            "degraded_regressions": degraded}
     return SolutionField(grid=grid, y=y, z=np.zeros((n, m, d)),
                          diagnostics=diag)
 
 
 def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
-                     xi: np.ndarray, ensemble: PathEnsemble,
+                     xi: np.ndarray, ensemble: PathEnsemble | Deterministic,
                      opts: SolverOptions | None = None,
                      route: str = "auto") -> SolutionField:
     """Value of the q-linearized equation.
@@ -214,7 +210,7 @@ def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
     """
     opts = opts or SolverOptions()
     grid = ensemble.grid
-    n, m, _ = ensemble.increments.shape
+    n, m = grid.steps, ensemble.paths
     if control.grid.steps != n or control.values.shape[1] not in (1, m):
         raise ValueError("control does not match the ensemble")
     xi = np.asarray(xi, dtype=float).reshape(-1)
@@ -276,9 +272,7 @@ def feedback_control(spec: GeneratorSpec, solution: SolutionField,
     for i in range(n):
         vals[i] = _concave_derivative(spec, nodes[i], y[i])
     vals = np.clip(vals, 0.0, None)
-    deterministic = bool(np.all(vals.max(axis=1) - vals.min(axis=1) < 1e-12))
-    ctrl = ControlProcess(grid=grid, values=vals, deterministic=deterministic,
-                          label="feedback")
+    ctrl = ControlProcess(grid=grid, values=vals, label="feedback")
     ctrl.moment_report = admissibility_check(ctrl, p_bar, spec)
     return ctrl
 
@@ -296,14 +290,10 @@ class DualityReport:
                 "gap_min": self.gap_min,
                 "feedback_match_error": self.feedback_match_error}
 
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def duality_gap(spec: GeneratorSpec, xi: np.ndarray, ensemble: PathEnsemble,
-                control_family: list, opts: SolverOptions | None = None,
+def duality_gap(spec: GeneratorSpec, xi: np.ndarray,
+                ensemble: PathEnsemble | Deterministic, control_family: list,
+                opts: SolverOptions | None = None,
                 primal: SolutionField | None = None) -> DualityReport:
     """Evaluate Y^q_0 over a finite control family against the primal Y_0.
 
@@ -414,8 +404,8 @@ def _drift_from_lipschitz(spec: GeneratorSpec, solution: SolutionField,
 
 
 def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
-                            ensemble: PathEnsemble, solution: SolutionField,
-                            deterministic: bool = False,
+                            ensemble: PathEnsemble | Deterministic,
+                            solution: SolutionField,
                             sigma_tolerance: float = 3.0,
                             degree: int = 3) -> CertificateReport:
     """Certified floor for the solution via the reciprocal-integral transform.
@@ -424,8 +414,9 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
     the discounted terminal data is pushed through the transform, conditioned
     under the drift-absorbing measure, advanced by the remaining time, pulled
     back through the inverse, and discounted once more. Violations beyond
-    sigma_tolerance regression standard errors fail the certificate; in
-    deterministic mode the bound must hold to 1e-6 outright.
+    sigma_tolerance regression standard errors fail the certificate. On a
+    Deterministic ensemble nothing is regressed or reweighted: the bound
+    must hold to 1e-6 outright and std_error is None.
 
     Pathwise assertions are restricted to points whose regression leverage
     is at most 10x the node average. Beyond that the fitted values are
@@ -443,7 +434,7 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
     if spec.phi is None:
         raise ValueError("certificate needs a nontrivial concave part")
     grid = ensemble.grid
-    n, m, _ = ensemble.increments.shape
+    n, m = grid.steps, ensemble.paths
     xi = np.asarray(xi, dtype=float).reshape(-1)
     nodes = grid.nodes
     horizon = grid.horizon
@@ -460,9 +451,10 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
     txi = table.fwd(xi_bar)
     t_cap = float(txi.max(initial=0.0))
 
-    weights = girsanov_weights(ensemble, _drift_from_lipschitz(
-        spec, solution, ensemble), bound=max(spec.gamma, 1e-12))
-    w_T = weights.weights
+    deterministic = isinstance(ensemble, Deterministic)
+    if not deterministic:
+        w_T = girsanov_weights(ensemble, _drift_from_lipschitz(
+            spec, solution, ensemble), bound=max(spec.gamma, 1e-12)).weights
 
     bound = np.empty((n + 1, m))
     # at the horizon the transform and its inverse cancel exactly
@@ -471,30 +463,29 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
     for i in range(n):
         remaining = horizon - nodes[i]
         if deterministic:
-            cond = txi.copy()
-        else:
-            num, info_n = conditional_expectation(ensemble, w_T * txi, i,
-                                                  degree=degree,
-                                                  full_output=True)
-            den = conditional_expectation(ensemble, w_T, i, degree=degree)
-            den = np.maximum(den, 1e-12)
-            cond = np.clip(num / den, 0.0, t_cap)
-            se[i] = (info_n.residual_std
-                     * np.sqrt(np.maximum(info_n.leverage, 0.0)) / den)
+            bound[i] = damp * table.inv(txi + remaining)
+            continue
+        num, info_n = conditional_expectation(ensemble, w_T * txi, i,
+                                              degree=degree,
+                                              full_output=True)
+        den = conditional_expectation(ensemble, w_T, i, degree=degree)
+        den = np.maximum(den, 1e-12)
+        cond = np.clip(num / den, 0.0, t_cap)
+        se[i] = (info_n.residual_std
+                 * np.sqrt(np.maximum(info_n.leverage, 0.0)) / den)
         arg = table.inv(cond + remaining)
         bound[i] = damp * arg
-        if se is not None:
-            # delta method: the inverse's slope at the point is phi_bar + c_bar
-            se_bound = damp * (np.asarray(phi_bar(arg)) + c_bar) * se[i]
-            # the compared solution is itself a regression estimate; its
-            # one-step fit noise dominates at high-leverage paths and must
-            # enter the margin or tail paths fail spuriously
-            _, info_y = conditional_expectation(ensemble, solution.y[i + 1],
-                                                i, degree=degree,
-                                                full_output=True)
-            se_y = (info_y.residual_std
-                    * np.sqrt(np.maximum(info_y.leverage, 0.0)))
-            se[i] = np.hypot(se_bound, se_y)
+        # delta method: the inverse's slope at the point is phi_bar + c_bar
+        se_bound = damp * (np.asarray(phi_bar(arg)) + c_bar) * se[i]
+        # the compared solution is itself a regression estimate; its
+        # one-step fit noise dominates at high-leverage paths and must
+        # enter the margin or tail paths fail spuriously
+        _, info_y = conditional_expectation(ensemble, solution.y[i + 1],
+                                            i, degree=degree,
+                                            full_output=True)
+        se_y = (info_y.residual_std
+                * np.sqrt(np.maximum(info_y.leverage, 0.0)))
+        se[i] = np.hypot(se_bound, se_y)
     slack = solution.y - bound
     if deterministic:
         worst = float(np.max(-slack))

@@ -7,7 +7,6 @@ M' paths of an M-path ensemble coincide with the M'-path ensemble.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ from scipy.special import ndtri
 __all__ = [
     "TimeGrid",
     "PathEnsemble",
+    "Deterministic",
     "RegressionInfo",
     "GirsanovResult",
     "TerminalSpec",
@@ -26,7 +26,6 @@ __all__ = [
     "extrapolated_nodes",
     "girsanov_weights",
     "sample_terminal",
-    "ensemble_to_csv",
 ]
 
 
@@ -80,6 +79,50 @@ class PathEnsemble:
     def terminal(self) -> np.ndarray:
         """B_T, shape (M, d)."""
         return self.cumulative[-1]
+
+    def condition(self, target: np.ndarray, step: int,
+                  degree: int | None = None) -> tuple[np.ndarray, bool]:
+        """Regression of a node-(step+1) payoff on the state at `step`;
+        returns (fitted, degraded)."""
+        fitted, info = conditional_expectation(self, target, step,
+                                               degree=degree, full_output=True)
+        return fitted, info.degraded
+
+    def slopes(self, target: np.ndarray, step: int, out: np.ndarray,
+               degree: int | None = None) -> None:
+        """Write the slope statistic E[target * dB_j | state] / dt of every
+        coordinate j into out, shape (M, d)."""
+        for j in range(self.dim):
+            out[:, j] = conditional_expectation(
+                self, target * self.increments[step, :, j], step,
+                degree=degree) / self.grid.dt
+
+
+@dataclass(frozen=True)
+class Deterministic:
+    """Noiseless stand-in for a PathEnsemble: `paths` identical copies.
+
+    Conditioning is the identity and the slope statistic is zero, so a
+    solver handed this object solves the reduced equation without drawing
+    or regressing anything.
+    """
+
+    grid: TimeGrid
+    paths: int = 1
+    dim: int = 1
+
+    def __post_init__(self):
+        if self.paths < 1 or self.dim < 1:
+            raise ValueError(f"paths and dim must be >= 1, got "
+                             f"{self.paths} and {self.dim}")
+
+    def condition(self, target: np.ndarray, step: int,
+                  degree: int | None = None) -> tuple[np.ndarray, bool]:
+        return np.array(target, dtype=float), False
+
+    def slopes(self, target: np.ndarray, step: int, out: np.ndarray,
+               degree: int | None = None) -> None:
+        out[...] = 0.0
 
 
 _MASK64 = (1 << 64) - 1
@@ -352,15 +395,3 @@ def sample_terminal(spec: TerminalSpec, ensemble: PathEnsemble) -> np.ndarray:
     if spec.kind == "floored_lognormal":
         return np.maximum(ln, float(p.get("floor", 0.0)))
     return ln + float(p.get("shift", 0.0))
-
-
-def ensemble_to_csv(ensemble: PathEnsemble, path: str) -> None:
-    """Columnar dump (step, path, b_0..b_{d-1}) with repr-exact floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "path"]
-                        + [f"b_{j}" for j in range(ensemble.dim)])
-        for i in range(ensemble.grid.steps + 1):
-            for m in range(ensemble.paths):
-                writer.writerow([i, m] + [repr(float(v))
-                                          for v in ensemble.cumulative[i, m]])

@@ -9,17 +9,15 @@ solve is trusted.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy import optimize
 
-from .engine import PathEnsemble, TimeGrid, conditional_expectation
+from .engine import Deterministic, PathEnsemble, TimeGrid
 from .peano import DivergentSupremumError, PeanoFunction, make_family
 
 __all__ = [
@@ -176,14 +174,12 @@ def spec_sqrt_plus_time() -> GeneratorSpec:
 
 def with_monotone_part(spec: GeneratorSpec, fn: Callable, beta_bar: float,
                        cap_fn: Callable | None = None) -> GeneratorSpec:
-    from dataclasses import replace
     return replace(spec, monotone_fn=fn, beta_bar=beta_bar,
                    monotone_cap_fn=cap_fn or (lambda t: 0.0))
 
 
 def with_lipschitz_part(spec: GeneratorSpec, fn: Callable, beta_tilde: float,
                         gamma: float) -> GeneratorSpec:
-    from dataclasses import replace
     return replace(spec, lipschitz_fn=fn, beta_tilde=beta_tilde, gamma=gamma)
 
 
@@ -325,34 +321,6 @@ class SolutionField:
             return 0.0
         return float(self.y[0].std(ddof=1) / math.sqrt(m))
 
-    def to_csv(self, path: str) -> None:
-        n, m = self.y.shape
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "path", "y", "z_norm"])
-            for i in range(n):
-                zn = (np.linalg.norm(self.z[i], axis=-1) if i < n - 1
-                      else np.zeros(m))
-                for j in range(m):
-                    writer.writerow([i, j, repr(float(self.y[i, j])),
-                                     repr(float(zn[j]))])
-
-    def summary(self) -> dict:
-        return {
-            "y0_mean": self.y0_mean,
-            "y0_std_error": self.y0_std_error,
-            "steps": self.grid.steps,
-            "paths": self.y.shape[1],
-            "y_min": float(self.y.min()),
-            "y_max": float(self.y.max()),
-            "diagnostics": self.diagnostics,
-        }
-
-    def summary_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -360,7 +328,6 @@ class SolverOptions:
     floor: float = 1.0e-10
     tol: float = 1.0e-8
     degree: int | None = None
-    deterministic: bool = False
 
     def __post_init__(self):
         if not self.max_inner >= 1:
@@ -394,20 +361,21 @@ def _implicit_step(g: Callable, i: int, m_cond: np.ndarray, dt: float,
     raise FixedPointDivergenceError(i, resid)
 
 
-def backward_kernel(driver: Callable, xi: np.ndarray, ensemble: PathEnsemble,
+def backward_kernel(driver: Callable, xi: np.ndarray,
+                    ensemble: PathEnsemble | Deterministic,
                     opts: SolverOptions, centre_z: bool = False) -> tuple:
-    """Implicit-in-y Euler with regression conditioning for any driver.
+    """Implicit-in-y Euler with the ensemble's conditioning for any driver.
 
     driver(i, t, z) returns g, the driver on step i as a function of y alone,
     so that whatever depends only on (t, z) is computed once per step. Per
-    step: cond is the regression of y_next on the state, z the slope
-    statistic E[target * dB | state]/dt with target y_next (y_next - cond
-    when centre_z is set), and y solves the damped fixed point of the
-    implicit relation. In deterministic mode conditioning is the identity
-    and z is zero. Returns (y, z, diagnostics).
+    step: cond is the ensemble's conditioning of y_next on the state (the
+    regression on a PathEnsemble, the identity on a Deterministic), z its
+    slope statistic of target y_next (y_next - cond when centre_z is set),
+    and y solves the damped fixed point of the implicit relation.
+    Returns (y, z, diagnostics).
     """
     grid = ensemble.grid
-    n, m, d = ensemble.increments.shape
+    n, m, d = grid.steps, ensemble.paths, ensemble.dim
     dt = grid.dt
     nodes = grid.nodes
     y = np.empty((n + 1, m))
@@ -415,32 +383,25 @@ def backward_kernel(driver: Callable, xi: np.ndarray, ensemble: PathEnsemble,
     y[n] = xi
     max_iters = floor_hits = degraded = 0
     for i in range(n - 1, -1, -1):
-        if opts.deterministic:
-            cond = y[i + 1].copy()
-        else:
-            cond, info = conditional_expectation(ensemble, y[i + 1], i,
-                                                 degree=opts.degree,
-                                                 full_output=True)
-            degraded += int(info.degraded)
-            target = y[i + 1] - cond if centre_z else y[i + 1]
-            for j in range(d):
-                z[i, :, j] = conditional_expectation(
-                    ensemble, target * ensemble.increments[i, :, j], i,
-                    degree=opts.degree) / dt
+        cond, bad = ensemble.condition(y[i + 1], i, opts.degree)
+        degraded += int(bad)
+        # z[i] is filled in place and target stays bound until the next
+        # step: otherwise peak RSS of a 10^4-path solve can grow by (N, M)
+        target = y[i + 1] - cond if centre_z else y[i + 1]
+        ensemble.slopes(target, i, z[i], opts.degree)
         y[i], its, hits = _implicit_step(driver(i, nodes[i], z[i]), i, cond,
                                          dt, opts)
         max_iters = max(max_iters, its)
         floor_hits += hits
     diag = {"max_inner_iterations": max_iters, "floor_hits": floor_hits,
-            "degraded_regressions": degraded,
-            "deterministic": opts.deterministic}
+            "degraded_regressions": degraded}
     return y, z, diag
 
 
 def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
-                         ensemble: PathEnsemble,
+                         ensemble: PathEnsemble | Deterministic,
                          opts: SolverOptions | None = None) -> SolutionField:
-    """Implicit-in-y Euler with regression conditioning on the driver spec.
+    """Implicit-in-y Euler on the driver spec, conditioned by the ensemble.
 
     The scheme is backward_kernel's, with the uncentered slope target.
     """
@@ -479,7 +440,8 @@ def _truncate_concave(spec: GeneratorSpec, level: float) -> Callable:
 
 
 def solve_truncated_picard(spec: GeneratorSpec, xi: np.ndarray,
-                           trunc_level: float, ensemble: PathEnsemble,
+                           trunc_level: float,
+                           ensemble: PathEnsemble | Deterministic,
                            opts: SolverOptions | None = None,
                            max_sweeps: int = 200) -> SolutionField:
     """Whole-path Picard iteration on the chord-truncated (Lipschitz) driver.
@@ -492,7 +454,7 @@ def solve_truncated_picard(spec: GeneratorSpec, xi: np.ndarray,
         raise ValueError(f"trunc_level must be > 0, got {trunc_level}")
     opts = opts or SolverOptions()
     grid = ensemble.grid
-    n, m, d = ensemble.increments.shape
+    n, m, d = grid.steps, ensemble.paths, ensemble.dim
     xi = np.asarray(xi, dtype=float).reshape(-1)
     dt = grid.dt
     nodes = grid.nodes
@@ -519,27 +481,17 @@ def solve_truncated_picard(spec: GeneratorSpec, xi: np.ndarray,
         z_new = np.zeros_like(z)
         y_new[n] = xi
         for i in range(n - 1, -1, -1):
-            payoff = xi + tail_sums[i]
-            if opts.deterministic:
-                y_new[i] = payoff
-            else:
-                fitted, info = conditional_expectation(ensemble, payoff, i,
-                                                       degree=opts.degree,
-                                                       full_output=True)
-                degraded += int(info.degraded)
-                y_new[i] = fitted
-                for j in range(d):
-                    z_new[i, :, j] = conditional_expectation(
-                        ensemble, y_new[i + 1] * ensemble.increments[i, :, j],
-                        i, degree=opts.degree) / dt
+            y_new[i], bad = ensemble.condition(xi + tail_sums[i], i,
+                                               opts.degree)
+            degraded += int(bad)
+            ensemble.slopes(y_new[i + 1], i, z_new[i], opts.degree)
         gap = float(np.max(np.abs(y_new - y)))
         y, z = y_new, z_new
         if gap < 1.0e-8:
             below = float(np.mean(y < trunc_level))
             diag = {"sweeps": sweep, "sub_threshold_fraction": below,
                     "degraded_regressions": degraded, "scheme": "picard",
-                    "trunc_level": trunc_level,
-                    "deterministic": opts.deterministic}
+                    "trunc_level": trunc_level}
             return SolutionField(grid=grid, y=y, z=z, diagnostics=diag)
     raise PicardDivergenceError(
         f"no convergence after {max_sweeps} sweeps (last gap {gap:.3e})")
@@ -663,7 +615,7 @@ def lipschitz_envelope(g: Callable, n: float,
 
 
 def maximal_solution(spec: GeneratorSpec, xi: np.ndarray,
-                     ensemble: PathEnsemble,
+                     ensemble: PathEnsemble | Deterministic,
                      n_schedule: tuple = (2, 4, 8, 16, 32),
                      opts: SolverOptions | None = None) -> SolutionField:
     """Decreasing envelope scheme targeting the largest solution.
@@ -677,7 +629,6 @@ def maximal_solution(spec: GeneratorSpec, xi: np.ndarray,
     if list(n_schedule) != sorted(set(n_schedule)) or len(n_schedule) < 2:
         raise ValueError("n_schedule must be strictly increasing, length >= 2")
     opts = opts or SolverOptions()
-    from dataclasses import replace
 
     fields = []
     y0_by_level = []
@@ -718,12 +669,13 @@ def maximal_solution(spec: GeneratorSpec, xi: np.ndarray,
             if 0.0 < r < 0.95:
                 y = last.y - d1 * (r / (1.0 - r))
                 extrapolated = True
-    tol_noise = 3.0 * last.y0_std_error if not opts.deterministic else 1e-9
+    # identical copies have standard error 0, so the 1e-8 floor decides
+    tol_noise = 3.0 * last.y0_std_error
     diag = {"schedule": list(n_schedule), "y0_by_level": y0_by_level,
             "level_gap": diff, "extrapolated": extrapolated,
             "nonmonotone_rise": nonmonotone,
             "nonmonotone_flag": bool(nonmonotone > max(tol_noise, 1e-8)),
-            "scheme": "envelope_limit", "deterministic": opts.deterministic}
+            "scheme": "envelope_limit"}
     return SolutionField(grid=ensemble.grid, y=y, z=last.z.copy(),
                          diagnostics=diag)
 

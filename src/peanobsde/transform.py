@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .engine import PathEnsemble, TimeGrid, extrapolated_nodes
+from .engine import Deterministic, PathEnsemble, TimeGrid, extrapolated_nodes
 from .solver import SolutionField, SolverOptions, backward_kernel
 
 __all__ = [
@@ -253,7 +253,7 @@ class SpecialSolveResult:
     above ten times the node mean) extrapolate the fitted basis and carry
     model bias that no residual statistic bounds; interior_discrepancy is
     the same sup with those nodes excluded, and excluded_fraction reports
-    how many they were. In deterministic mode the two sups coincide.
+    how many they were. On a Deterministic ensemble the two sups coincide.
     """
 
     direct: SolutionField
@@ -277,7 +277,7 @@ class SpecialSolveResult:
 
 
 def solve_special(sg: SpecialGenerator, xi: np.ndarray,
-                  ensemble: PathEnsemble,
+                  ensemble: PathEnsemble | Deterministic,
                   opts: SolverOptions | None = None) -> SpecialSolveResult:
     """Backward Euler on the original driver and on its convex transform.
 
@@ -288,7 +288,7 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
     """
     opts = opts or SolverOptions()
     grid = ensemble.grid
-    n, m, d = ensemble.increments.shape
+    n, m, d = grid.steps, ensemble.paths, ensemble.dim
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != m:
         raise ValueError(f"terminal data has {xi.shape[0]} paths, "
@@ -321,8 +321,9 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
     y_back, z_back = invert_change_of_variables(sg, tf)
     via = SolutionField(grid=grid, y=y_back, z=z_back, diagnostics=diag_tr)
     # leverage depends only on the shared design, so one mask serves both
-    # routes (all false in deterministic mode, where nothing is regressed)
-    extrap = (np.zeros((n + 1, m), dtype=bool) if opts.deterministic
+    # routes (all false on a Deterministic ensemble: nothing is regressed)
+    extrap = (np.zeros((n + 1, m), dtype=bool)
+              if isinstance(ensemble, Deterministic)
               else extrapolated_nodes(ensemble, opts.degree))
 
     dy = np.abs(direct.y - via.y)

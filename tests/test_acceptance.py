@@ -16,8 +16,9 @@ import peanobsde.cli as cli
 from peanobsde.cli import main as cli_main, parse_config
 from peanobsde.control import (constant_control, feedback_control,
                                lower_bound_certificate, solve_controlled)
-from peanobsde.engine import (TerminalSpec, TimeGrid, conditional_expectation,
-                              sample_terminal, simulate_brownian)
+from peanobsde.engine import (Deterministic, TerminalSpec, TimeGrid,
+                              conditional_expectation, sample_terminal,
+                              simulate_brownian)
 from peanobsde.peano import (classify, growth_bound_check, inf_representation,
                              integral_H, make_family, tangent_control)
 from peanobsde.solver import (SolutionField, SolverOptions, maximal_solution,
@@ -29,8 +30,6 @@ from peanobsde.transform import (EZParams, ez_closed_form, ez_to_special,
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, "..", "configs")
-
-DET = SolverOptions(deterministic=True)
 
 _CAPSYS = None
 
@@ -59,8 +58,7 @@ def exact_parabola_field(grid, paths, terminal=1.0):
     level = (math.sqrt(terminal) + (grid.horizon - grid.nodes) / 2.0) ** 2
     return SolutionField(grid=grid, y=np.tile(level[:, None], (1, paths)),
                          z=np.zeros((grid.steps, paths, 1)),
-                         diagnostics={"deterministic": True,
-                                      "scheme": "closed_form"})
+                         diagnostics={"scheme": "closed_form"})
 
 
 def test_01_closed_form_square_root_instance():
@@ -93,9 +91,8 @@ def test_02_zero_terminal_multiplicity_family():
         resid = np.abs(np.diff(curve) + dt * 0.5 * (root[:-1] + root[1:]))
         worst_resid = max(worst_resid, float(resid.max()))
 
-    ens = simulate_brownian(grid, paths=2, seed=7)
-    top = maximal_solution(spec_sqrt(), np.zeros(2), ens,
-                           n_schedule=(2, 4, 8, 16, 32), opts=DET)
+    top = maximal_solution(spec_sqrt(), np.zeros(2), Deterministic(grid, 2),
+                           n_schedule=(2, 4, 8, 16, 32))
     y0 = top.y0_mean
     wall = time.perf_counter() - started
 
@@ -110,7 +107,7 @@ def test_02_zero_terminal_multiplicity_family():
 def test_03_constant_and_feedback_control_bounds():
     grid = TimeGrid(horizon=1.0, steps=400)
     paths = 8
-    ens = simulate_brownian(grid, paths=paths, seed=11)
+    ens = Deterministic(grid, paths)
     xi = np.ones(paths)
     spec = spec_sqrt()
     primal = exact_parabola_field(grid, paths)
@@ -118,10 +115,10 @@ def test_03_constant_and_feedback_control_bounds():
     uppers = {}
     for q in (0.3, 0.4, 0.5, 0.6):
         ctrl = constant_control(grid, paths=paths, value=q)
-        uppers[q] = float(solve_controlled(spec, ctrl, xi, ens, DET)
+        uppers[q] = float(solve_controlled(spec, ctrl, xi, ens)
                           .y[0].mean())
     fb = feedback_control(spec, primal)
-    fb_value = float(solve_controlled(spec, fb, xi, ens, DET).y[0].mean())
+    fb_value = float(solve_controlled(spec, fb, xi, ens).y[0].mean())
 
     floor_margin = min(min(uppers.values()), fb_value) - (2.25 - 1e-3)
     const_excess = min(v - 2.25 for v in uppers.values())
@@ -143,10 +140,9 @@ def test_04_pathwise_lower_bound_certificate():
     sol = solve_backward_euler(spec_sqrt(), xi, ens, SolverOptions(degree=4))
     cert = lower_bound_certificate(spec_sqrt(), xi, ens, sol, degree=4)
 
-    det_ens = simulate_brownian(grid, paths=2, seed=13)
-    det_cert = lower_bound_certificate(spec_sqrt(), np.ones(2), det_ens,
-                                       exact_parabola_field(grid, 2),
-                                       deterministic=True)
+    det_cert = lower_bound_certificate(spec_sqrt(), np.ones(2),
+                                       Deterministic(grid, 2),
+                                       exact_parabola_field(grid, 2))
 
     check("pathwise lower bound (worst kept violation, excluded fraction, "
           "deterministic tightness)",
@@ -207,11 +203,11 @@ def test_07_recursive_utility_value():
 
     sg = ez_to_special(ez)
     grid = TimeGrid(horizon=1.0, steps=800)
-    ens = simulate_brownian(grid, paths=2, seed=3)
-    res = solve_special(sg, np.full(2, 4.0), ens, DET)
+    ens = Deterministic(grid, 2)
+    res = solve_special(sg, np.full(2, 4.0), ens)
     solver_err = abs(res.direct.y0_mean - closed)
 
-    stat = solve_special(sg, np.full(2, ez.c), ens, DET)
+    stat = solve_special(sg, np.full(2, ez.c), ens)
     stationary_err = abs(stat.direct.y0_mean - ez.c)
 
     check("aggregator value via the power substitution "

@@ -17,6 +17,9 @@ import peanobsde.cli as cli
 from peanobsde.cli import SCENARIO_ORDER, list_scenarios, main
 from peanobsde.solver import FixedPointDivergenceError
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "configs")
+
 UNIQ_TINY = """
 [scenario]
 name = uniqueness_convergence
@@ -187,6 +190,32 @@ class TestExitCodes:
                             blow_up)
         assert main(["run", "--config", cfg]) == 4
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", ["0", "2.5"])
+    def test_bad_regression_degree_returns_two(self, tmp_path, capsys,
+                                               degree):
+        with open(os.path.join(CONFIGS, "lower_bound.ini")) as fh:
+            text = fh.read()
+        assert "regression_degree = 4" in text
+        cfg = tmp_path / "lower_bound.ini"
+        cfg.write_text(text.replace("regression_degree = 4",
+                                    f"regression_degree = {degree}"))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "regression_degree" in capsys.readouterr().err
+
+
+class TestNoiselessScenarios:
+    @pytest.mark.parametrize("name", ["duality_frontier", "multiplicity_zoo",
+                                      "ez_utility"])
+    def test_deterministic_scenarios_draw_no_paths(self, tmp_path,
+                                                   monkeypatch, name):
+        def no_draws(*args):
+            raise AssertionError("a deterministic scenario drew paths")
+
+        monkeypatch.setattr("peanobsde.engine._step_normals", no_draws)
+        cfg = os.path.join(CONFIGS, f"{name}.ini")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 class TestOverrides:

@@ -7,7 +7,6 @@ its solution is (1 + (T - t)/2)^2, and the slope control along that path is
 1/(2 + (T - t)). These give machine-checkable oracles for every operation.
 """
 
-import json
 import math
 from dataclasses import replace
 
@@ -21,16 +20,13 @@ from peanobsde.control import (CertificateReport, ControlProcess,
                                feedback_control, hypothesis_report,
                                lower_bound_certificate, solve_controlled,
                                step_function_control)
-from peanobsde.engine import (TerminalSpec, TimeGrid, sample_terminal,
-                              simulate_brownian)
+from peanobsde.engine import (Deterministic, TerminalSpec, TimeGrid,
+                              sample_terminal, simulate_brownian)
 from peanobsde.peano import DivergentIntegralError, make_family
 from peanobsde.solver import (GeneratorSpec, SolutionField, SolverOptions,
                               solve_backward_euler, spec_from_family,
                               spec_power, spec_sqrt, spec_sqrt_plus_time,
                               spec_zero)
-
-DET = SolverOptions(deterministic=True)
-
 
 def curve_value(q: float, xi_const: float = 1.0) -> float:
     return math.exp(q) * xi_const + (math.exp(q) - 1.0) / (4.0 * q * q)
@@ -41,13 +37,17 @@ def make_ensemble(n=100, m=8, seed=7, horizon=1.0):
     return grid, simulate_brownian(grid, paths=m, dim=1, seed=seed)
 
 
+def det_ensemble(n=100, m=8, horizon=1.0):
+    grid = TimeGrid(horizon=horizon, steps=n)
+    return grid, Deterministic(grid, m)
+
+
 def exact_sqrt_field(grid: TimeGrid, m: int,
                      xi_const: float = 1.0) -> SolutionField:
     y_path = (math.sqrt(xi_const) + (grid.horizon - grid.nodes) / 2.0) ** 2
     y = np.tile(y_path[:, None], (1, m))
     z = np.zeros((grid.steps, m, 1))
-    return SolutionField(grid=grid, y=y, z=z,
-                         diagnostics={"deterministic": True})
+    return SolutionField(grid=grid, y=y, z=z)
 
 
 def shifted_sqrt_spec() -> GeneratorSpec:
@@ -138,8 +138,7 @@ class TestControlProcess:
     def test_negative_values_rejected(self):
         grid = TimeGrid(horizon=1.0, steps=4)
         with pytest.raises(ValueError):
-            ControlProcess(grid=grid, values=-np.ones((4, 2)),
-                           deterministic=True)
+            ControlProcess(grid=grid, values=-np.ones((4, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -148,7 +147,7 @@ class TestControlProcess:
         vals = np.full((4, 2), 0.5)
         vals[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            ControlProcess(grid=grid, values=vals, deterministic=False)
+            ControlProcess(grid=grid, values=vals)
 
     def test_step_function_length_checked(self):
         grid = TimeGrid(horizon=1.0, steps=10)
@@ -176,26 +175,26 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("q", [0.3, 0.4, 0.5, 0.6])
     def test_constant_control_curve(self, q):
-        grid, ens = make_ensemble(n=50, m=8)
+        grid, ens = det_ensemble(n=50, m=8)
         xi = np.ones(8)
         ctrl = constant_control(grid, paths=8, value=q)
-        sol = solve_controlled(spec_sqrt(), ctrl, xi, ens, DET)
+        sol = solve_controlled(spec_sqrt(), ctrl, xi, ens)
         assert sol.diagnostics["scheme"] == "controlled_closed_form"
         assert sol.y0_mean == pytest.approx(self.CURVE[q], rel=1e-9)
         assert sol.y0_mean == pytest.approx(curve_value(q), rel=1e-9)
 
     def test_half_control_identity(self):
         # e^{1/2} + (e^{1/2} - 1) collapses to 2 e^{1/2} - 1
-        grid, ens = make_ensemble(n=50, m=8)
+        grid, ens = det_ensemble(n=50, m=8)
         ctrl = constant_control(grid, paths=8, value=0.5)
-        sol = solve_controlled(spec_sqrt(), ctrl, np.ones(8), ens, DET)
+        sol = solve_controlled(spec_sqrt(), ctrl, np.ones(8), ens)
         assert sol.y0_mean == pytest.approx(2.0 * math.exp(0.5) - 1.0,
                                             rel=1e-9)
 
     def test_terminal_four(self):
-        grid, ens = make_ensemble(n=50, m=8)
+        grid, ens = det_ensemble(n=50, m=8)
         ctrl = constant_control(grid, paths=8, value=0.5)
-        sol = solve_controlled(spec_sqrt(), ctrl, np.full(8, 4.0), ens, DET)
+        sol = solve_controlled(spec_sqrt(), ctrl, np.full(8, 4.0), ens)
         assert sol.y0_mean == pytest.approx(5.0 * math.exp(0.5) - 1.0,
                                             rel=1e-9)
         assert sol.y0_mean > 6.25
@@ -203,10 +202,9 @@ class TestClosedForm:
     def test_time_dependent_offset_integrates_exactly(self):
         # driver sqrt(y) + t, q = 1/2, xi = 1:
         # e^{1/2} + int_0^1 e^{s/2}(s + 1/2) ds = e^{1/2} + 3 - e^{1/2} = 3
-        grid, ens = make_ensemble(n=40, m=4)
+        grid, ens = det_ensemble(n=40, m=4)
         ctrl = constant_control(grid, paths=4, value=0.5)
-        sol = solve_controlled(spec_sqrt_plus_time(), ctrl, np.ones(4), ens,
-                               DET)
+        sol = solve_controlled(spec_sqrt_plus_time(), ctrl, np.ones(4), ens)
         assert sol.y0_mean == pytest.approx(3.0, rel=1e-9)
 
     def test_regression_route_on_constant_terminal(self):
@@ -218,24 +216,24 @@ class TestClosedForm:
         assert sol.y0_mean == pytest.approx(self.CURVE[0.4], rel=1e-9)
 
     def test_zero_control_inadmissible(self):
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         ctrl = constant_control(grid, paths=4, value=0.0)
         with pytest.raises(InadmissibleControlError):
-            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens, DET)
+            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens)
 
     def test_mismatched_control_rejected(self):
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         other = TimeGrid(horizon=1.0, steps=30)
         ctrl = constant_control(other, paths=4, value=0.5)
         with pytest.raises(ValueError):
-            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens, DET)
+            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens)
 
     def test_forcing_closed_form_needs_deterministic_control(self):
         grid, ens = make_ensemble(n=20, m=4)
         vals = np.abs(0.5 + 0.01 * np.cumsum(ens.increments[:, :, 0], axis=0))
-        ctrl = ControlProcess(grid=grid, values=vals, deterministic=False)
+        ctrl = ControlProcess(grid=grid, values=vals)
         with pytest.raises(ValueError):
-            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens, DET,
+            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens,
                              route="closed_form")
 
 
@@ -245,10 +243,10 @@ class TestClosedForm:
 
 class TestEngineRoute:
     def test_zero_control_inadmissible(self):
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         ctrl = constant_control(grid, paths=4, value=0.0)
         with pytest.raises(InadmissibleControlError):
-            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens, DET,
+            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens,
                              route="engine")
 
     def test_agreement_with_closed_form_on_lognormal_terminal(self):
@@ -324,10 +322,10 @@ class TestFeedback:
         assert not rep["heavy_tail_flag"]
 
     def test_feedback_value_recovers_the_solution(self):
-        grid, ens = make_ensemble(n=200, m=4)
+        grid, ens = det_ensemble(n=200, m=4)
         field = exact_sqrt_field(grid, m=4)
         ctrl = feedback_control(spec_sqrt(), field)
-        sol = solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens, DET)
+        sol = solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens)
         assert sol.y0_mean == pytest.approx(2.25, abs=1e-3)
         # weak duality holds exactly for the time-continuous evaluation
         assert sol.y0_mean >= 2.25 - 1e-9
@@ -358,10 +356,10 @@ class TestDuality:
         return consts + ["feedback"]
 
     def test_deterministic_instance_report(self):
-        grid, ens = make_ensemble(n=200, m=4)
+        grid, ens = det_ensemble(n=200, m=4)
         primal = exact_sqrt_field(grid, m=4)
         report = duality_gap(spec_sqrt(), np.ones(4), ens,
-                             self.family(grid, 4), DET, primal=primal)
+                             self.family(grid, 4), primal=primal)
         assert report.y0_primal == pytest.approx(2.25, abs=1e-12)
         for q in (0.3, 0.4, 0.5, 0.6):
             got = report.y0_per_control[f"q={q}"]
@@ -379,10 +377,10 @@ class TestDuality:
         assert vals[0.4] - 2.25 >= 1e-2
 
     def test_terminal_four_gaps(self):
-        grid, ens = make_ensemble(n=100, m=4)
+        grid, ens = det_ensemble(n=100, m=4)
         primal = exact_sqrt_field(grid, m=4, xi_const=4.0)
         family = [constant_control(grid, 4, q) for q in (0.4, 0.5)]
-        report = duality_gap(spec_sqrt(), np.full(4, 4.0), ens, family, DET,
+        report = duality_gap(spec_sqrt(), np.full(4, 4.0), ens, family,
                              primal=primal)
         assert report.y0_primal == pytest.approx(6.25, abs=1e-12)
         # q=0.4 is the tighter of the two: 4e^{0.4} + (e^{0.4}-1)/0.64 - 6.25
@@ -392,31 +390,16 @@ class TestDuality:
         assert report.feedback_match_error is None
 
     def test_empty_family_rejected(self):
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         with pytest.raises(ValueError):
-            duality_gap(spec_sqrt(), np.ones(4), ens, [], DET)
+            duality_gap(spec_sqrt(), np.ones(4), ens, [])
 
     def test_unknown_string_entry_rejected(self):
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         primal = exact_sqrt_field(grid, m=4)
         with pytest.raises(ValueError):
-            duality_gap(spec_sqrt(), np.ones(4), ens, ["optimal"], DET,
+            duality_gap(spec_sqrt(), np.ones(4), ens, ["optimal"],
                         primal=primal)
-
-    def test_json_serialization(self, tmp_path):
-        grid, ens = make_ensemble(n=100, m=4)
-        primal = exact_sqrt_field(grid, m=4)
-        report = duality_gap(spec_sqrt(), np.ones(4), ens,
-                             [constant_control(grid, 4, 0.5), "feedback"],
-                             DET, primal=primal)
-        out = tmp_path / "duality.json"
-        report.to_json(str(out))
-        loaded = json.loads(out.read_text())
-        assert loaded["y0_primal"] == report.y0_primal
-        assert loaded["y0_per_control"]["q=0.5"] == pytest.approx(
-            curve_value(0.5), rel=1e-9)
-        assert loaded["gap_min"] == report.gap_min
-        assert loaded["feedback_match_error"] == report.feedback_match_error
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +408,19 @@ class TestDuality:
 
 class TestCertificate:
     def test_deterministic_sqrt_is_tight(self):
-        grid, ens = make_ensemble(n=100, m=4)
+        grid, ens = det_ensemble(n=100, m=4)
         field = exact_sqrt_field(grid, m=4)
-        report = lower_bound_certificate(spec_sqrt(), np.ones(4), ens, field,
-                                         deterministic=True)
+        report = lower_bound_certificate(spec_sqrt(), np.ones(4), ens, field)
         assert report.passed
         assert report.tight_error <= 1e-6
         assert report.bound[0, 0] == pytest.approx(2.25, abs=1e-6)
         assert report.std_error is None
 
     def test_deterministic_terminal_four(self):
-        grid, ens = make_ensemble(n=100, m=4)
+        grid, ens = det_ensemble(n=100, m=4)
         field = exact_sqrt_field(grid, m=4, xi_const=4.0)
         report = lower_bound_certificate(spec_sqrt(), np.full(4, 4.0), ens,
-                                         field, deterministic=True)
+                                         field)
         assert report.passed
         assert report.tight_error <= 1e-6
         assert report.bound[0, 0] == pytest.approx(6.25, abs=1e-6)
@@ -478,17 +460,16 @@ class TestCertificate:
         assert np.allclose(report.slack[-1], 0.0, atol=1e-12)
 
     def test_osgood_modulus_without_offset_diverges(self):
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         spec = spec_from_family("rho2")
         field = SolutionField(grid=grid, y=np.ones((21, 4)),
                               z=np.zeros((20, 4, 1)))
         with pytest.raises(DivergentIntegralError):
-            lower_bound_certificate(spec, np.ones(4), ens, field,
-                                    deterministic=True)
+            lower_bound_certificate(spec, np.ones(4), ens, field)
 
     def test_offset_rescues_osgood_modulus(self):
         # with c > 0 the reciprocal integral converges at zero regardless
-        grid, ens = make_ensemble(n=20, m=4)
+        grid, ens = det_ensemble(n=20, m=4)
         base = spec_from_family("rho2")
         rho2 = base.phi
         spec = replace(base,
@@ -497,8 +478,7 @@ class TestCertificate:
                        cap_fn=lambda t: base.cap_fn(t) + 0.25, c=0.25)
         y = np.full((21, 4), 5.0)
         field = SolutionField(grid=grid, y=y, z=np.zeros((20, 4, 1)))
-        report = lower_bound_certificate(spec, np.full(4, 5.0), ens, field,
-                                         deterministic=True)
+        report = lower_bound_certificate(spec, np.full(4, 5.0), ens, field)
         assert report.bound.shape == (21, 4)
         assert math.isfinite(report.worst_violation)
 

@@ -81,6 +81,12 @@ def test_simulate_validation():
         E.simulate_brownian(g, 10, 9, 0)
 
 
+@pytest.mark.parametrize("paths, dim", [(0, 1), (2, 0)])
+def test_noiseless_ensemble_validation(paths, dim):
+    with pytest.raises(ValueError, match="paths and dim"):
+        E.Deterministic(E.TimeGrid(1.0, 2), paths, dim)
+
+
 # --- conditional expectation ------------------------------------------------
 
 def test_constant_target_reproduced():
@@ -287,23 +293,6 @@ def test_floored_and_shifted_lognormal():
 def test_unknown_terminal_kind():
     with pytest.raises(ValueError):
         E.TerminalSpec("cauchy")
-
-
-# --- CSV export ---------------------------------------------------------------
-
-def test_csv_export_roundtrip(tmp_path):
-    ens = make(n=2, m=3, d=2, seed=97)
-    out = tmp_path / "paths.csv"
-    E.ensemble_to_csv(ens, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "step,path,b_0,b_1"
-    assert len(lines) == 1 + 3 * 3
-    row = lines[4].split(",")  # step 1, path 0
-    assert float(row[2]) == ens.cumulative[1, 0, 0]
-
-    out2 = tmp_path / "paths2.csv"
-    E.ensemble_to_csv(ens, str(out2))
-    assert out.read_bytes() == out2.read_bytes()
 
 
 # --- regression facts cached on the ensemble ---------------------------------

@@ -70,19 +70,17 @@ def test_sqrt_driver_matches_closed_form():
 
 
 def test_sqrt_driver_deterministic_mode():
-    ens = E.simulate_brownian(grid(200), 1, 1, 3)
-    sol = S.solve_backward_euler(S.spec_sqrt(), np.ones(1), ens,
-                                 S.SolverOptions(deterministic=True))
+    sol = S.solve_backward_euler(S.spec_sqrt(), np.ones(1),
+                                 E.Deterministic(grid(200)))
     # implicit Euler on the reduced equation, first-order accurate
     assert abs(sol.y0_mean - 2.25) < 2e-2
-    assert sol.diagnostics["deterministic"]
+    assert np.all(sol.z == 0.0)
 
 
 def test_time_dependent_driver_against_ode_oracle():
     g = grid(200)
-    ens = E.simulate_brownian(g, 1, 1, 4)
-    sol = S.solve_backward_euler(S.spec_sqrt_plus_time(), np.ones(1), ens,
-                                 S.SolverOptions(deterministic=True))
+    sol = S.solve_backward_euler(S.spec_sqrt_plus_time(), np.ones(1),
+                                 E.Deterministic(g))
     oracle = S.solve_deterministic_ode(lambda t, y: math.sqrt(max(y, 0.0)) + t,
                                        1.0, g)
     assert abs(sol.y0_mean - oracle[0]) / oracle[0] < 0.01
@@ -91,10 +89,8 @@ def test_time_dependent_driver_against_ode_oracle():
 def test_scheme_order_at_least_one():
     errs = []
     for n in (50, 100):
-        g = grid(n)
-        ens = E.simulate_brownian(g, 1, 1, 5)
-        sol = S.solve_backward_euler(S.spec_sqrt(), np.ones(1), ens,
-                                     S.SolverOptions(deterministic=True))
+        sol = S.solve_backward_euler(S.spec_sqrt(), np.ones(1),
+                                     E.Deterministic(grid(n)))
         errs.append(abs(sol.y0_mean - 2.25))
     assert errs[0] / errs[1] > 1.7
 
@@ -156,14 +152,13 @@ def test_non_finite_terminal_rejected(bad):
 
 
 def test_fixed_point_divergence_reports_step():
-    ens = E.simulate_brownian(E.TimeGrid(1.0, 2), 1, 1, 10)
+    ens = E.Deterministic(E.TimeGrid(1.0, 2))
     stiff = S.GeneratorSpec(concave_fn=lambda t, y: 10.0 * y, phi=None,
                             floor_fn=lambda t: 0.0, cap_fn=lambda t: 0.0,
                             beta=10.0, lam=1.0, c=0.0)
     with pytest.raises(S.FixedPointDivergenceError) as err:
         S.solve_backward_euler(stiff, np.ones(1), ens,
-                               S.SolverOptions(deterministic=True,
-                                               max_inner=3))
+                               S.SolverOptions(max_inner=3))
     assert err.value.step == 1
 
 
@@ -200,6 +195,18 @@ def test_backward_kernel_contract_is_shared(route):
             assert key in fld.diagnostics, (fld.diagnostics, key)
 
 
+@pytest.mark.parametrize("route", [_primal_route, _control_route,
+                                   _transform_route],
+                         ids=["primal", "control", "transform"])
+def test_backward_kernel_on_a_noiseless_ensemble(route):
+    ens = E.Deterministic(grid(5), paths=3, dim=2)
+    for fld in route(ens, np.ones(3), S.SolverOptions()):
+        assert fld.z.shape == (5, 3, 2)
+        assert not fld.z.any()
+        assert fld.diagnostics["degraded_regressions"] == 0
+        assert np.all(fld.y == fld.y[:, :1])
+
+
 # --- truncated Picard --------------------------------------------------------
 
 def test_picard_sqrt_unit_terminal():
@@ -210,9 +217,8 @@ def test_picard_sqrt_unit_terminal():
 
 
 def test_picard_quarter_terminal_closed_form():
-    ens = E.simulate_brownian(grid(100), 1, 1, 12)
-    sol = S.solve_truncated_picard(S.spec_sqrt(), np.full(1, 4.0), 1.0, ens,
-                                   S.SolverOptions(deterministic=True))
+    sol = S.solve_truncated_picard(S.spec_sqrt(), np.full(1, 4.0), 1.0,
+                                   E.Deterministic(grid(100)))
     assert abs(sol.y0_mean - 6.25) / 6.25 < 0.01
 
 
@@ -319,9 +325,8 @@ def test_envelope_lipschitz_dominates_and_decreases():
 
 
 def test_maximal_solution_zero_terminal_deterministic():
-    ens = E.simulate_brownian(grid(800), 1, 1, 15)
-    sol = S.maximal_solution(S.spec_sqrt(), np.zeros(1), ens,
-                             opts=S.SolverOptions(deterministic=True))
+    sol = S.maximal_solution(S.spec_sqrt(), np.zeros(1),
+                             E.Deterministic(grid(800)))
     levels = sol.diagnostics["y0_by_level"]
     # value at the deepest level before extrapolation, from the exact
     # piecewise integration of the envelope equation (plus O(dt) scheme bias)
@@ -399,26 +404,6 @@ def test_apriori_validation():
         S.apriori_diagnostic(sol, np.ones(50), p=1.0, a=1.0, mu=0.0, lam=0.0)
     with pytest.raises(ValueError):
         S.apriori_diagnostic(sol, np.ones(50), p=2.0, a=0.1, mu=0.5, lam=0.0)
-
-
-# --- exports ------------------------------------------------------------------
-
-def test_solution_csv_and_json(tmp_path):
-    ens = ensemble(n=3, m=4, seed=23)
-    sol = S.solve_backward_euler(S.spec_sqrt(), np.ones(4), ens)
-    csv_path = tmp_path / "field.csv"
-    sol.to_csv(str(csv_path))
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "step,path,y,z_norm"
-    assert len(lines) == 1 + 4 * 4
-
-    json_path = tmp_path / "summary.json"
-    sol.summary_json(str(json_path))
-    import json
-    data = json.loads(json_path.read_text())
-    assert data["paths"] == 4
-    assert data["y0_mean"] == sol.y0_mean
-    assert "max_inner_iterations" in data["diagnostics"]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -15,17 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peanobsde.engine import (TerminalSpec, TimeGrid, sample_terminal,
-                              simulate_brownian)
-from peanobsde.solver import SolverOptions, solve_deterministic_ode
+from peanobsde.engine import (Deterministic, TerminalSpec, TimeGrid,
+                              sample_terminal, simulate_brownian)
+from peanobsde.solver import solve_deterministic_ode
 from peanobsde.transform import (EZParams, SpecialGenerator,
                                  change_of_variables, ez_closed_form,
                                  ez_to_special, homogeneity_audit,
                                  invert_change_of_variables, solve_special,
                                  special_driver, theta_difference_check,
                                  transformed_generator)
-
-DET = SolverOptions(deterministic=True)
 
 EZ_POINT = 3.164132225855443  # (1 + e^{-1/4})^2
 
@@ -39,9 +37,9 @@ def full_pattern(alpha: float) -> SpecialGenerator:
                             k4=0.5, label=f"full-{alpha}")
 
 
-def det_ensemble(n=800, m=2, seed=1):
+def det_ensemble(n=800, m=2):
     grid = TimeGrid(horizon=1.0, steps=n)
-    return grid, simulate_brownian(grid, paths=m, dim=1, seed=seed)
+    return grid, Deterministic(grid, m)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ class TestChangeOfVariables:
 class TestSolveSpecial:
     def test_sqrt_power_deterministic(self):
         grid, ens = det_ensemble()
-        res = solve_special(sqrt_power(), np.ones(2), ens, DET)
+        res = solve_special(sqrt_power(), np.ones(2), ens)
         # the transformed driver is constant 1, so that route is exact
         assert res.via_transform.y0_mean == pytest.approx(2.25, abs=1e-9)
         assert res.direct.y0_mean == pytest.approx(2.25, abs=2e-3)
@@ -198,7 +196,7 @@ class TestSolveSpecial:
     def test_pure_source_deterministic(self):
         grid, ens = det_ensemble()
         sg = SpecialGenerator(alpha=0.5, c=1.0, k4=1.0)
-        res = solve_special(sg, np.ones(2), ens, DET)
+        res = solve_special(sg, np.ones(2), ens)
         # constant drift integrates exactly on the direct side
         assert res.direct.y0_mean == pytest.approx(2.0, abs=1e-10)
         assert res.max_discrepancy < 1e-3
@@ -208,7 +206,7 @@ class TestSolveSpecial:
         for alpha in (0.25, 0.5, 0.75):
             for sg in (SpecialGenerator(alpha=alpha, c=1.0, k1=1.0),
                        full_pattern(alpha)):
-                res = solve_special(sg, np.ones(2), ens, DET)
+                res = solve_special(sg, np.ones(2), ens)
                 assert res.max_discrepancy < 1e-3, (alpha, sg.label)
 
     def test_stochastic_routes_agree_inside_the_sample(self):
@@ -240,23 +238,23 @@ class TestSolveSpecial:
         sg = SpecialGenerator(alpha=0.5, c=1.0, k1=1.0,
                               z_norm=lambda z: (z ** 2).sum(axis=-1))
         with pytest.raises(ValueError, match="homogeneous"):
-            solve_special(sg, np.ones(2), ens, DET)
+            solve_special(sg, np.ones(2), ens)
 
     def test_terminal_positivity_required(self):
         grid, ens = det_ensemble(n=10)
         with pytest.raises(ValueError, match="positive terminal"):
-            solve_special(sqrt_power(), np.array([1.0, 0.0]), ens, DET)
+            solve_special(sqrt_power(), np.array([1.0, 0.0]), ens)
 
     def test_terminal_shape_checked(self):
         grid, ens = det_ensemble(n=10)
         with pytest.raises(ValueError, match="paths"):
-            solve_special(sqrt_power(), np.ones(3), ens, DET)
+            solve_special(sqrt_power(), np.ones(3), ens)
 
     def test_coefficient_violation_surfaces(self):
         grid, ens = det_ensemble(n=10)
         sg = SpecialGenerator(alpha=0.5, c=0.1, k2=-0.9)
         with pytest.raises(ValueError, match="k2"):
-            solve_special(sg, np.ones(2), ens, DET)
+            solve_special(sg, np.ones(2), ens)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,7 @@ class TestEZClosedForm:
     def test_full_pipeline_matches_closed_form(self):
         ez = EZParams(beta=1.0, c=1.0, rho=0.5)
         grid, ens = det_ensemble()
-        res = solve_special(ez_to_special(ez), np.full(2, 4.0), ens, DET)
+        res = solve_special(ez_to_special(ez), np.full(2, 4.0), ens)
         assert res.direct.y0_mean == pytest.approx(EZ_POINT, abs=1e-3)
         assert res.max_discrepancy < 1e-3
 
