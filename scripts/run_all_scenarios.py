@@ -23,8 +23,6 @@ from peanobsde.cli import main as cli_main, parse_config  # noqa: E402
 def csv_hashes(path, out_dir):
     """'name=sha256' for each CSV of the run's output directory."""
     cfg = parse_config(path, out_override=out_dir)
-    if cfg.fmt == "json":
-        return []
     hashes = []
     for csv_path in sorted(glob.glob(os.path.join(cfg.out_dir, "*.csv"))):
         with open(csv_path, "rb") as fh:

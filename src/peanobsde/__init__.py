@@ -8,7 +8,6 @@ from .peano import (  # noqa: F401
     PeanoFunction,
     ConjugateValue,
     make_family,
-    make_custom,
     conjugate,
     inf_representation,
     tangent_control,
@@ -58,7 +57,6 @@ from .control import (  # noqa: F401
     feedback_control,
     lower_bound_certificate,
     solve_controlled,
-    step_function_control,
 )
 
 from .transform import (  # noqa: F401
@@ -68,7 +66,6 @@ from .transform import (  # noqa: F401
     change_of_variables,
     ez_closed_form,
     ez_to_special,
-    homogeneity_audit,
     invert_change_of_variables,
     solve_special,
     special_driver,

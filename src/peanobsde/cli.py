@@ -101,7 +101,6 @@ class ExperimentConfig:
     seed: int
     params: dict
     out_dir: str
-    fmt: str
 
     def grid(self) -> TimeGrid:
         return TimeGrid(horizon=self.horizon, steps=self.steps)
@@ -169,8 +168,7 @@ def _as_int(section: str, key: str, raw: str) -> int:
 
 
 def parse_config(path: str, seed_override: int | None = None,
-                 out_override: str | None = None,
-                 fmt_override: str | None = None) -> ExperimentConfig:
+                 out_override: str | None = None) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -221,17 +219,10 @@ def parse_config(path: str, seed_override: int | None = None,
         raise ConfigError(f"bad ensemble: paths {paths}, dim {dim}")
 
     out_dir = f"out/{scenario}"
-    fmt = "both"
-    if parser.has_section("output"):
-        out = dict(parser.items("output"))
-        out_dir = out.get("dir", out_dir)
-        fmt = out.get("format", fmt)
+    if parser.has_option("output", "dir"):
+        out_dir = parser.get("output", "dir")
     if out_override is not None:
         out_dir = out_override
-    if fmt_override is not None:
-        fmt = fmt_override
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json, or both, got {fmt!r}")
 
     params = dict(parser.items("params")) \
         if parser.has_section("params") else {}
@@ -239,7 +230,7 @@ def parse_config(path: str, seed_override: int | None = None,
     return ExperimentConfig(scenario=scenario, generator=generator,
                             terminal=terminal, horizon=horizon, steps=steps,
                             paths=paths, dim=dim, seed=seed, params=params,
-                            out_dir=out_dir, fmt=fmt)
+                            out_dir=out_dir)
 
 
 def build_generator(generator: dict) -> GeneratorSpec:
@@ -330,12 +321,12 @@ def _sqrt_closed_form(cfg: ExperimentConfig) -> float | None:
     return (math.sqrt(v) + cfg.horizon / 2.0) ** 2
 
 
-def _exact_sqrt_field(grid: TimeGrid, terminal: float, paths: int,
+def _exact_sqrt_field(grid: TimeGrid, terminal: float,
                       dim: int) -> SolutionField:
-    """The square-root equation's closed-form solution on `paths` copies."""
+    """The square-root equation's closed-form solution on one copy."""
     level = (math.sqrt(terminal) + (grid.horizon - grid.nodes) / 2.0) ** 2
-    return SolutionField(grid=grid, y=np.tile(level[:, None], (1, paths)),
-                         z=np.zeros((grid.steps, paths, dim)),
+    return SolutionField(grid=grid, y=level[:, None],
+                         z=np.zeros((grid.steps, 1, dim)),
                          diagnostics={"scheme": "closed_form"})
 
 
@@ -372,8 +363,8 @@ def _scenario_uniqueness(cfg: ExperimentConfig) -> ScenarioResult:
                                 seed=cfg.seed)
         xi = sample_terminal(term, ens)
         stoch = solve_backward_euler(spec, xi, ens).y0_mean
-        det = solve_backward_euler(spec, np.full(2, _terminal_constant(cfg)),
-                                   Deterministic(grid, 2, cfg.dim)).y0_mean
+        det = solve_backward_euler(spec, _terminal_constant(cfg),
+                                   Deterministic(grid, dim=cfg.dim)).y0_mean
         rows.append((n, stoch, det, ode_y0))
         stoch_last = stoch
         if ref is not None:
@@ -446,7 +437,7 @@ def _scenario_multiplicity(cfg: ExperimentConfig) -> ScenarioResult:
         lambda t, v: math.sqrt(max(v, 0.0)), 0.0, grid)
     minimal_sup = float(np.max(np.abs(minimal)))
     extremal = maximal_solution(
-        spec, np.zeros(2), Deterministic(grid, 2, cfg.dim),
+        spec, 0.0, Deterministic(grid, dim=cfg.dim),
         n_schedule=schedule, opts=SolverOptions(max_inner=60))
     level_rows = list(zip(extremal.diagnostics["schedule"],
                           extremal.diagnostics["y0_by_level"]))
@@ -480,15 +471,14 @@ def _scenario_duality(cfg: ExperimentConfig) -> ScenarioResult:
     excess = _param_float(cfg, "strict_excess", 1e-2)
     fb_tol = _param_float(cfg, "feedback_tolerance", 1e-3)
     grid = cfg.grid()
-    paths = 2
-    ens = Deterministic(grid, paths, cfg.dim)
-    xi = np.full(paths, _terminal_constant(cfg))
+    ens = Deterministic(grid, dim=cfg.dim)
+    xi = _terminal_constant(cfg)
 
     ref = _sqrt_closed_form(cfg)
-    primal = (_exact_sqrt_field(grid, _terminal_constant(cfg), paths, cfg.dim)
+    primal = (_exact_sqrt_field(grid, xi, cfg.dim)
               if ref is not None else None)
 
-    family = [constant_control(grid, paths, q) for q in q_grid]
+    family = [constant_control(grid, 1, q) for q in q_grid]
     family.append("feedback")
     report = duality_gap(spec, xi, ens, family, primal=primal)
 
@@ -536,7 +526,7 @@ def _scenario_transform(cfg: ExperimentConfig) -> ScenarioResult:
     excl_tol = _param_float(cfg, "exclusion_tolerance", 0.02)
 
     det_grid = TimeGrid(horizon=cfg.horizon, steps=det_steps)
-    det_ens = Deterministic(det_grid, 2, cfg.dim)
+    det_ens = Deterministic(det_grid, dim=cfg.dim)
     stoch_grid = cfg.grid()
     stoch_ens = simulate_brownian(stoch_grid, paths=cfg.paths, dim=cfg.dim,
                                   seed=cfg.seed)
@@ -550,7 +540,7 @@ def _scenario_transform(cfg: ExperimentConfig) -> ScenarioResult:
                              stoch_ens)
         for pattern in _MATRIX_PATTERNS:
             sg = _matrix_instance(alpha, pattern)
-            det = solve_special(sg, np.ones(2), det_ens)
+            det = solve_special(sg, 1.0, det_ens)
             stoch = solve_special(sg, xi, stoch_ens)
             worst_det = max(worst_det, det.max_discrepancy)
             worst_rel = max(worst_rel, stoch.interior_relative_gap)
@@ -626,8 +616,8 @@ def _scenario_ez(cfg: ExperimentConfig) -> ScenarioResult:
 
     closed = ez_closed_form(ez, xi_const, 0.0, cfg.horizon)
     grid = TimeGrid(horizon=cfg.horizon, steps=det_steps)
-    res = solve_special(ez_to_special(ez), np.full(2, xi_const),
-                        Deterministic(grid, 2, cfg.dim))
+    res = solve_special(ez_to_special(ez), xi_const,
+                        Deterministic(grid, dim=cfg.dim))
 
     # fourth-order integration as an independent cross-check
     check_grid = TimeGrid(horizon=cfg.horizon, steps=64)
@@ -717,12 +707,7 @@ def _scenario_audit(cfg: ExperimentConfig) -> ScenarioResult:
                  "generator_slack": own_slack})
 
 
-def _scenario_lower_bound(cfg: ExperimentConfig) -> ScenarioResult:
-    spec = build_generator(cfg.generator)
-    term = build_terminal(cfg.terminal)
-    tight_tol = _param_float(cfg, "tight_tolerance", 1e-6)
-    excl_tol = _param_float(cfg, "exclusion_tolerance", 0.02)
-    sigma_tol = _param_float(cfg, "sigma_tolerance", 3.0)
+def _regression_degree(cfg: ExperimentConfig) -> int:
     # even basis degree: the lognormal conditional mean is convex in the
     # state, and an odd leading term biases the tail fit low right where
     # the bound's slack vanishes
@@ -730,6 +715,16 @@ def _scenario_lower_bound(cfg: ExperimentConfig) -> ScenarioResult:
     if degree < 1:
         raise ConfigError(f"[params] regression_degree must be >= 1, "
                           f"got {degree}")
+    return degree
+
+
+def _scenario_lower_bound(cfg: ExperimentConfig) -> ScenarioResult:
+    spec = build_generator(cfg.generator)
+    term = build_terminal(cfg.terminal)
+    tight_tol = _param_float(cfg, "tight_tolerance", 1e-6)
+    excl_tol = _param_float(cfg, "exclusion_tolerance", 0.02)
+    sigma_tol = _param_float(cfg, "sigma_tolerance", 3.0)
+    degree = _regression_degree(cfg)
     grid = cfg.grid()
 
     ens = simulate_brownian(grid, paths=cfg.paths, dim=cfg.dim, seed=cfg.seed)
@@ -761,10 +756,10 @@ def _scenario_lower_bound(cfg: ExperimentConfig) -> ScenarioResult:
     tight_err = None
     if family == "sqrt" and "gradient_coeff" not in cfg.generator:
         level_terminal = _param_float(cfg, "tight_terminal", 1.0)
-        exact = _exact_sqrt_field(grid, level_terminal, 2, cfg.dim)
+        exact = _exact_sqrt_field(grid, level_terminal, cfg.dim)
         det_cert = lower_bound_certificate(
-            spec, np.full(2, level_terminal), Deterministic(grid, 2, cfg.dim),
-            exact, sigma_tolerance=sigma_tol)
+            spec, level_terminal, Deterministic(grid, dim=cfg.dim), exact,
+            sigma_tolerance=sigma_tol)
         tight_err = det_cert.tight_error
         verdicts.append(Verdict(
             name=f"certificate is tight to {tight_tol!r} on the "
@@ -814,6 +809,8 @@ def validate(cfg: ExperimentConfig) -> list:
     """
     verdicts = []
     build_terminal(cfg.terminal)  # raises ConfigError on bad kinds
+    if cfg.scenario == "lower_bound":
+        _regression_degree(cfg)
 
     if cfg.scenario == "ez_utility":
         try:
@@ -888,11 +885,9 @@ def run(cfg: ExperimentConfig) -> tuple:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     written = []
-    if cfg.fmt in ("csv", "both"):
-        for name, (header, rows) in sorted(result.tables.items()):
-            path = os.path.join(cfg.out_dir, f"{name}.csv")
-            _write_csv(path, header, rows)
-            written.append(f"{name}.csv")
+    for name, (header, rows) in sorted(result.tables.items()):
+        _write_csv(os.path.join(cfg.out_dir, f"{name}.csv"), header, rows)
+        written.append(f"{name}.csv")
 
     all_passed = all(v.passed for v in result.verdicts)
     report = {
@@ -905,10 +900,9 @@ def run(cfg: ExperimentConfig) -> tuple:
         "tables_written": written,
         "all_passed": all_passed,
     }
-    if cfg.fmt in ("json", "both"):
-        with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+    with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
     return report, all_passed
 
 
@@ -933,8 +927,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (unsigned 64-bit)")
         p.add_argument("--out", default=None, help="override output dir")
-        p.add_argument("--format", default=None,
-                       choices=("csv", "json", "both"))
 
     add_common(sub.add_parser("run", help="execute a scenario"))
     add_common(sub.add_parser("validate", help="audit without solving"))
@@ -952,7 +944,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, seed_override=args.seed,
-                           out_override=args.out, fmt_override=args.format)
+                           out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,14 +32,12 @@ __all__ = [
     "DualityReport",
     "CertificateReport",
     "constant_control",
-    "step_function_control",
     "f_star",
     "solve_controlled",
     "feedback_control",
     "duality_gap",
     "lower_bound_certificate",
     "admissibility_check",
-    "hypothesis_report",
 ]
 
 
@@ -56,8 +54,8 @@ class ControlProcess:
     """Nonnegative control values, constant on each grid step.
 
     values has shape (N, M) or (N, 1). Adaptedness holds by construction
-    for the provided builders (constants, step functions, and the feedback
-    control read off the solution at the left node).
+    for the provided builders (constants, and the feedback control read off
+    the solution at the left node).
     """
 
     grid: TimeGrid
@@ -87,18 +85,6 @@ def constant_control(grid: TimeGrid, paths: int, value: float,
         raise ValueError(f"control constant must be >= 0, got {value}")
     vals = np.full((grid.steps, paths), float(value))
     return ControlProcess(grid=grid, values=vals, label=label or f"q={value}")
-
-
-def step_function_control(grid: TimeGrid, paths: int,
-                          step_values: np.ndarray,
-                          label: str = "step") -> ControlProcess:
-    """Deterministic control from one value per step (length N)."""
-    step_values = np.asarray(step_values, dtype=float).reshape(-1)
-    if step_values.shape[0] != grid.steps:
-        raise ValueError(f"need {grid.steps} step values, "
-                         f"got {step_values.shape[0]}")
-    vals = np.tile(step_values[:, None], (1, paths))
-    return ControlProcess(grid=grid, values=vals, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -197,33 +183,12 @@ def _closed_form_controlled(spec: GeneratorSpec, control: ControlProcess,
                          diagnostics=diag)
 
 
-def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
-                     xi: np.ndarray, ensemble: PathEnsemble | Deterministic,
-                     opts: SolverOptions | None = None,
-                     route: str = "auto") -> SolutionField:
-    """Value of the q-linearized equation.
-
-    route: "auto" picks the closed form for deterministic controls on purely
-    concave drivers, otherwise the backward-Euler engine; "closed_form" and
-    "engine" force a branch. Controls whose conjugate is infinite anywhere
-    they are used are inadmissible.
-    """
-    opts = opts or SolverOptions()
+def _engine_controlled(spec: GeneratorSpec, control: ControlProcess,
+                       xi: np.ndarray, ensemble: PathEnsemble | Deterministic,
+                       opts: SolverOptions) -> SolutionField:
+    """Backward-Euler engine on the q-linearized driver, for any control."""
     grid = ensemble.grid
     n, m = grid.steps, ensemble.paths
-    if control.grid.steps != n or control.values.shape[1] not in (1, m):
-        raise ValueError("control does not match the ensemble")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if route not in ("auto", "closed_form", "engine"):
-        raise ValueError(f"unknown route {route!r}")
-    pure_concave = spec.monotone_fn is None and spec.lipschitz_fn is None
-    can_close = pure_concave and control.deterministic
-    if route == "closed_form" and not can_close:
-        raise ValueError("closed form needs a deterministic control and a "
-                         "purely concave driver")
-    if route in ("auto", "closed_form") and can_close:
-        return _closed_form_controlled(spec, control, xi, ensemble, opts)
-
     qv = control.values
     if qv.shape[1] == 1 and m > 1:
         qv = np.broadcast_to(qv, (n, m))
@@ -252,6 +217,26 @@ def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
     y, z, diag = backward_kernel(driver, xi, ensemble, opts)
     diag.update(scheme="controlled_engine", control=control.label)
     return SolutionField(grid=grid, y=y, z=z, diagnostics=diag)
+
+
+def solve_controlled(spec: GeneratorSpec, control: ControlProcess,
+                     xi: np.ndarray, ensemble: PathEnsemble | Deterministic,
+                     opts: SolverOptions | None = None) -> SolutionField:
+    """Value of the q-linearized equation.
+
+    Deterministic controls on purely concave drivers take the closed form,
+    every other control the backward-Euler engine. Controls whose conjugate
+    is infinite anywhere they are used are inadmissible.
+    """
+    opts = opts or SolverOptions()
+    n, m = ensemble.grid.steps, ensemble.paths
+    if control.grid.steps != n or control.values.shape[1] not in (1, m):
+        raise ValueError("control does not match the ensemble")
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    pure_concave = spec.monotone_fn is None and spec.lipschitz_fn is None
+    if pure_concave and control.deterministic:
+        return _closed_form_controlled(spec, control, xi, ensemble, opts)
+    return _engine_controlled(spec, control, xi, ensemble, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +498,7 @@ def lower_bound_certificate(spec: GeneratorSpec, xi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# admissibility and hypothesis moment reports
+# admissibility moment report
 # ---------------------------------------------------------------------------
 
 def admissibility_check(control: ControlProcess, p_bar: float,
@@ -564,38 +549,3 @@ def admissibility_check(control: ControlProcess, p_bar: float,
         "top_percent_share": {"exp": exp_share, "conjugate": star_share},
     }
 
-
-def hypothesis_report(spec: GeneratorSpec, xi: np.ndarray, p_hat: float,
-                      ensemble: PathEnsemble) -> dict:
-    """Estimate the reciprocal-modulus moment of the terminal data.
-
-    The quantity 1/(phi(xi) + c) must have a finite scaled moment for the
-    uniqueness argument to bite; with c = 0 and terminal zeros the estimate
-    is infinite and flagged. Like admissibility_check this only reports, it
-    cannot decide the hypothesis.
-    """
-    if p_hat <= 0.0:
-        raise ValueError(f"p_hat must be > 0, got {p_hat}")
-    if spec.phi is None:
-        raise ValueError("hypothesis report needs a nontrivial concave part")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    exponent = p_hat * spec.lam * math.exp(2.0 * spec.beta_tilde
-                                           * ensemble.grid.horizon)
-    denom = np.asarray(spec.phi(xi), dtype=float) + spec.c
-    with np.errstate(divide="ignore", over="ignore"):
-        samples = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300),
-                           np.inf) ** exponent
-    finite = bool(np.all(np.isfinite(samples)))
-    estimate = float(np.mean(samples)) if finite else math.inf
-    if finite and samples.sum() > 0:
-        k = max(1, int(0.01 * samples.size))
-        share = float(np.sort(samples)[-k:].sum() / samples.sum())
-    else:
-        share = 1.0
-    return {
-        "moment_estimate": estimate,
-        "exponent": exponent,
-        "finite": finite,
-        "heavy_tail_flag": bool(share > 0.5),
-        "zero_terminal_fraction": float(np.mean(xi == 0.0)),
-    }

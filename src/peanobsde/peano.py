@@ -28,9 +28,7 @@ __all__ = [
     "ClassificationResult",
     "GrowthBoundReport",
     "make_family",
-    "make_custom",
     "scale_function",
-    "sum_functions",
     "conjugate",
     "inf_representation",
     "tangent_control",
@@ -38,8 +36,6 @@ __all__ = [
     "inverse_H",
     "growth_bound_check",
     "classify",
-    "to_text",
-    "from_text",
     "FAMILY_NAMES",
 ]
 
@@ -378,18 +374,6 @@ def make_family(family: str, **params) -> PeanoFunction:
     return fn
 
 
-def make_custom(name: str, eval_fn, deriv_fn, slope_at_infinity: float | None = None,
-                search_bound: float | None = None, audit: bool = True) -> PeanoFunction:
-    if slope_at_infinity is None:
-        slope_at_infinity = float(deriv_fn(np.asarray(_SEARCH_LIMIT)))
-    fn = PeanoFunction(family="custom", params={"name": name}, eval_fn=eval_fn,
-                       deriv_fn=deriv_fn, slope_at_infinity=slope_at_infinity,
-                       search_bound=search_bound)
-    if audit:
-        _audit_shape(fn)
-    return fn
-
-
 def scale_function(rho: PeanoFunction, s: float) -> PeanoFunction:
     """Positive multiple s*rho; preserves class and analytic shortcuts."""
     if not s > 0.0:
@@ -416,30 +400,6 @@ def scale_function(rho: PeanoFunction, s: float) -> PeanoFunction:
                          tail_from=rho.tail_from,
                          tail_integral=None if rho.tail_integral is None
                          else lambda u0, _t=rho.tail_integral, _s=s: _t(u0) / _s)
-
-
-def sum_functions(rho: PeanoFunction, h: PeanoFunction) -> PeanoFunction:
-    """Pointwise sum; sum of a Peano-class and any concave modulus stays Peano-class."""
-    bound = None
-    if rho.search_bound is not None and h.search_bound is not None:
-        bound = max(rho.search_bound, h.search_bound)
-    tail = None
-    tail_from = 4.0
-    if rho.tail_fn is not None and h.tail_fn is not None:
-        # e^-u/(rho+h)(e^-u) is the harmonic combination of the two tails
-        def tail(u, _a=rho.tail_fn, _b=h.tail_fn):
-            with np.errstate(divide="ignore", over="ignore"):
-                return 1.0 / (1.0 / _a(u) + 1.0 / _b(u))
-        tail_from = max(rho.tail_from, h.tail_from)
-    return PeanoFunction(family="custom",
-                         params={"name": f"{rho.family}+{h.family}"},
-                         eval_fn=lambda x: rho.eval_fn(np.asarray(x, float))
-                         + h.eval_fn(np.asarray(x, float)),
-                         deriv_fn=lambda x: rho.deriv_fn(np.asarray(x, float))
-                         + h.deriv_fn(np.asarray(x, float)),
-                         slope_at_infinity=rho.slope_at_infinity + h.slope_at_infinity,
-                         search_bound=bound,
-                         tail_fn=tail, tail_from=tail_from)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +467,9 @@ def tangent_control(rho: PeanoFunction, x0: float) -> float:
 
 def _tail_quad(rho: PeanoFunction, x_hi: float) -> float:
     # int_0^{x_hi} dx/rho(x) via u = -ln x; integrand e^-u / rho(e^-u) is smooth
+    if rho.tail_fn is None:
+        raise ValueError(f"{rho.family}: reciprocal-integral tail needs tail_fn")
+
     def w(u):
         x = math.exp(-u)
         r = float(rho(x))
@@ -515,38 +478,23 @@ def _tail_quad(rho: PeanoFunction, x_hi: float) -> float:
         return x / r
 
     lo = -math.log(x_hi)
-    if rho.tail_fn is not None:
-        # analytic log-space form past tail_from; immune to e^-u underflow
-        split = max(lo, rho.tail_from)
-        total = 0.0
-        if split > lo:
-            v, _ = integrate.quad(w, lo, split, limit=400)
-            total += v
-        if rho.tail_integral is not None:
-            return total + float(rho.tail_integral(split))
-        # substitute u = split*e^t so power-decay tails become exponential
-        def g(t):
-            if t > 700.0:
-                return 0.0
-            u = split * math.exp(t)
-            return float(rho.tail_fn(u)) * u
+    # analytic log-space form past tail_from; immune to e^-u underflow
+    split = max(lo, rho.tail_from)
+    total = 0.0
+    if split > lo:
+        v, _ = integrate.quad(w, lo, split, limit=400)
+        total += v
+    if rho.tail_integral is not None:
+        return total + float(rho.tail_integral(split))
+    # substitute u = split*e^t so power-decay tails become exponential
+    def g(t):
+        if t > 700.0:
+            return 0.0
+        u = split * math.exp(t)
+        return float(rho.tail_fn(u)) * u
 
-        v, _ = integrate.quad(g, 0.0, math.inf, limit=400)
-        return total + v
-
-    # custom function: e^-u underflows past u ~ 745, so stop the quadrature at
-    # u_max and extrapolate the remainder with a local power-law fit of w
-    u_max = 690.0
-    val, _ = integrate.quad(w, lo, min(u_max, max(lo + 1.0, u_max)), limit=400)
-    w1, w2 = w(u_max / 2.0), w(u_max)
-    if w2 > 0.0 and w1 > w2:
-        p = math.log(w1 / w2) / math.log(2.0)  # w ~ u^-p locally
-        if p > 1.0 + 1e-9:
-            val += w2 * u_max / (p - 1.0)
-        elif w2 > 1e-13:
-            raise DivergentIntegralError(
-                "reciprocal-integral tail decays too slowly to resolve")
-    return val
+    v, _ = integrate.quad(g, 0.0, math.inf, limit=400)
+    return total + v
 
 
 def integral_H(rho: PeanoFunction, c: float, u: float) -> float:
@@ -707,30 +655,3 @@ def classify(rho: PeanoFunction) -> ClassificationResult:
     rho._cache["classification"] = result
     return result
 
-
-# ---------------------------------------------------------------------------
-# plain-text serialisation (used by experiment config files)
-# ---------------------------------------------------------------------------
-
-def to_text(rho: PeanoFunction) -> str:
-    if rho.family == "custom":
-        raise ValueError("custom functions do not serialise to text")
-    parts = [rho.family] + [f"{k}={rho.params[k]!r}" for k in sorted(rho.params)]
-    return " ".join(parts)
-
-
-def from_text(text: str) -> PeanoFunction:
-    tokens = text.split()
-    if not tokens:
-        raise InvalidParamsError("empty function description")
-    family, kv = tokens[0], tokens[1:]
-    params = {}
-    for tok in kv:
-        if "=" not in tok:
-            raise InvalidParamsError(f"malformed parameter token {tok!r}")
-        key, val = tok.split("=", 1)
-        try:
-            params[key] = float(val)
-        except ValueError as exc:
-            raise InvalidParamsError(f"non-numeric parameter {tok!r}") from exc
-    return make_family(family, **params)

@@ -23,7 +23,6 @@ from .peano import DivergentSupremumError, PeanoFunction, make_family
 __all__ = [
     "SolverError",
     "FixedPointDivergenceError",
-    "PicardDivergenceError",
     "GeneratorSpec",
     "SolverOptions",
     "SolutionField",
@@ -39,12 +38,10 @@ __all__ = [
     "assumption_audit",
     "backward_kernel",
     "solve_backward_euler",
-    "solve_truncated_picard",
     "solve_deterministic_ode",
     "multiplicity_family",
     "lipschitz_envelope",
     "maximal_solution",
-    "apriori_diagnostic",
 ]
 
 
@@ -58,10 +55,6 @@ class FixedPointDivergenceError(SolverError):
         self.residual = residual
         super().__init__(f"implicit step {step} did not converge "
                          f"(residual {residual:.3e})")
-
-
-class PicardDivergenceError(SolverError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -325,35 +318,35 @@ class SolutionField:
 @dataclass(frozen=True)
 class SolverOptions:
     max_inner: int = 20
-    floor: float = 1.0e-10
-    tol: float = 1.0e-8
     degree: int | None = None
 
     def __post_init__(self):
         if not self.max_inner >= 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if not (math.isfinite(self.floor) and self.floor >= 0.0):
-            raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
         if self.degree is not None and not self.degree >= 1:
             raise ValueError(f"degree must be None or >= 1, got {self.degree}")
 
 
+# the implicit step evaluates the driver at max(y, _FLOOR) and stops once
+# every path's relative update is at most _TOL
+_FLOOR = 1.0e-10
+_TOL = 1.0e-8
+
+
 def _implicit_step(g: Callable, i: int, m_cond: np.ndarray, dt: float,
                    opts: SolverOptions) -> tuple[np.ndarray, int, int]:
-    """Solve y = m + dt*g(max(y, floor)) per path by damped iteration."""
+    """Solve y = m + dt*g(max(y, _FLOOR)) per path by damped iteration."""
     y = m_cond.copy()
     w = np.ones_like(y)
     prev_update = np.zeros_like(y)
     resid = math.inf
     for it in range(1, opts.max_inner + 1):
-        target = m_cond + dt * g(np.maximum(y, opts.floor))
+        target = m_cond + dt * g(np.maximum(y, _FLOOR))
         update = target - y
         resid = float(np.max(np.abs(update) / np.maximum(1.0, np.abs(target))))
-        if resid <= opts.tol:
+        if resid <= _TOL:
             # floor hits of the last iterate, counted once per step
-            return target, it, int(np.count_nonzero(y < opts.floor))
+            return target, it, int(np.count_nonzero(y < _FLOOR))
         # halve the relaxation weight on paths whose update flips sign
         w[update * prev_update < 0.0] *= 0.5
         y = y + w * update
@@ -418,83 +411,6 @@ def solve_backward_euler(spec: GeneratorSpec, xi: np.ndarray,
                                  xi, ensemble, opts)
     diag["scheme"] = "backward_euler"
     return SolutionField(grid=ensemble.grid, y=y, z=z, diagnostics=diag)
-
-
-# ---------------------------------------------------------------------------
-# Picard iteration on a chord-truncated driver
-# ---------------------------------------------------------------------------
-
-def _truncate_concave(spec: GeneratorSpec, level: float) -> Callable:
-    """Replace the concave part below `level` by its chord through 0."""
-
-    def fn(t, y):
-        y = np.asarray(y, dtype=float)
-        base = np.asarray(spec.concave_fn(t, np.maximum(y, level)),
-                          dtype=float)
-        at_level = np.asarray(spec.concave_fn(
-            t, np.full_like(y, level)), dtype=float)
-        chord = at_level * np.clip(y, 0.0, None) / level
-        return np.where(y >= level, base, chord)
-
-    return fn
-
-
-def solve_truncated_picard(spec: GeneratorSpec, xi: np.ndarray,
-                           trunc_level: float,
-                           ensemble: PathEnsemble | Deterministic,
-                           opts: SolverOptions | None = None,
-                           max_sweeps: int = 200) -> SolutionField:
-    """Whole-path Picard iteration on the chord-truncated (Lipschitz) driver.
-
-    Diagnostics report the fraction of (step, path) points below the
-    truncation level, which should be near zero whenever the terminal floor
-    justifies truncating.
-    """
-    if not trunc_level > 0.0:
-        raise ValueError(f"trunc_level must be > 0, got {trunc_level}")
-    opts = opts or SolverOptions()
-    grid = ensemble.grid
-    n, m, d = grid.steps, ensemble.paths, ensemble.dim
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    dt = grid.dt
-    nodes = grid.nodes
-    g_trunc = _truncate_concave(spec, trunc_level)
-
-    def g(t, yv, zv):
-        out = np.asarray(g_trunc(t, yv), dtype=float)
-        if spec.monotone_fn is not None:
-            out = out + spec.monotone_fn(t, yv)
-        if spec.lipschitz_fn is not None:
-            out = out + spec.lipschitz_fn(t, yv, zv)
-        return out
-
-    y = np.tile(xi, (n + 1, 1))
-    z = np.zeros((n, m, d))
-    degraded = 0
-    for sweep in range(1, max_sweeps + 1):
-        gen_vals = np.empty((n, m))
-        for i in range(n):
-            gen_vals[i] = g(nodes[i], y[i], z[i])
-        tail_sums = np.vstack([np.cumsum(gen_vals[::-1], axis=0)[::-1] * dt,
-                               np.zeros((1, m))])
-        y_new = np.empty_like(y)
-        z_new = np.zeros_like(z)
-        y_new[n] = xi
-        for i in range(n - 1, -1, -1):
-            y_new[i], bad = ensemble.condition(xi + tail_sums[i], i,
-                                               opts.degree)
-            degraded += int(bad)
-            ensemble.slopes(y_new[i + 1], i, z_new[i], opts.degree)
-        gap = float(np.max(np.abs(y_new - y)))
-        y, z = y_new, z_new
-        if gap < 1.0e-8:
-            below = float(np.mean(y < trunc_level))
-            diag = {"sweeps": sweep, "sub_threshold_fraction": below,
-                    "degraded_regressions": degraded, "scheme": "picard",
-                    "trunc_level": trunc_level}
-            return SolutionField(grid=grid, y=y, z=z, diagnostics=diag)
-    raise PicardDivergenceError(
-        f"no convergence after {max_sweeps} sweeps (last gap {gap:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -679,42 +595,3 @@ def maximal_solution(spec: GeneratorSpec, xi: np.ndarray,
     return SolutionField(grid=ensemble.grid, y=y, z=last.z.copy(),
                          diagnostics=diag)
 
-
-# ---------------------------------------------------------------------------
-# a priori ratio diagnostic
-# ---------------------------------------------------------------------------
-
-def apriori_diagnostic(solution: SolutionField, xi: np.ndarray, p: float,
-                       a: float, mu: float, lam: float,
-                       f_values: np.ndarray | float = 0.0) -> dict:
-    """Moment-ratio diagnostic for the standard p-th power energy bound.
-
-    Requires a >= mu + lam^2 / min(1, p-1). Returns the path-averaged ratio
-    of the weighted solution energy to the data energy; finiteness and
-    stability under refinement are what the caller checks.
-    """
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    need = mu + lam * lam / min(1.0, p - 1.0)
-    if a < need - 1e-12:
-        raise ValueError(f"a must be >= {need}, got {a}")
-    grid = solution.grid
-    nodes = grid.nodes
-    dt = grid.dt
-    y = solution.y
-    z = solution.z
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    weights = np.exp(a * p * nodes)[:, None]
-    sup_term = np.max(weights * np.abs(y) ** p, axis=0)
-    z_sq = np.einsum("imd,imd->im", z, z)
-    z_term = (np.sum(np.exp(2.0 * a * nodes[:-1])[:, None] * z_sq,
-                     axis=0) * dt) ** (p / 2.0)
-    numerator = float(np.mean(sup_term + z_term))
-    fv = np.broadcast_to(np.asarray(f_values, dtype=float),
-                         (grid.steps, y.shape[1]))
-    f_term = (np.sum(np.exp(a * nodes[:-1])[:, None] * fv, axis=0) * dt) ** p
-    denominator = float(np.mean(math.exp(a * p * grid.horizon)
-                                * np.abs(xi) ** p + f_term))
-    ratio = numerator / denominator if denominator > 0.0 else math.inf
-    return {"ratio": ratio, "numerator": numerator,
-            "denominator": denominator, "p": p, "a": a}

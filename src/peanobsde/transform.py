@@ -34,7 +34,6 @@ __all__ = [
     "invert_change_of_variables",
     "solve_special",
     "theta_difference_check",
-    "homogeneity_audit",
     "ez_to_special",
     "ez_closed_form",
 ]
@@ -311,8 +310,8 @@ def solve_special(sg: SpecialGenerator, xi: np.ndarray,
     integ = _k2_cumulative(sg, grid)
     a = sg.alpha
     xi_t = (math.exp(integ[n]) * xi) ** (1.0 - a) / (1.0 - a)
-    # the kernel floors y before each driver call, so the y > 0 guard holds
-    # whenever opts.floor > 0
+    # the kernel floors y at a positive constant before each driver call,
+    # so the y > 0 guard holds
     y_tr, z_tr, diag_tr = backward_kernel(
         lambda i, t, z: transformed_step(sg, t, z, float(integ[i])), xi_t,
         ensemble, opts, centre_z=True)

@@ -15,11 +15,11 @@ import pytest
 
 from peanobsde.control import (CertificateReport, ControlProcess,
                                DualityReport, InadmissibleControlError,
-                               NonpositiveSolutionError, admissibility_check,
-                               constant_control, duality_gap, f_star,
-                               feedback_control, hypothesis_report,
-                               lower_bound_certificate, solve_controlled,
-                               step_function_control)
+                               NonpositiveSolutionError,
+                               _closed_form_controlled, _engine_controlled,
+                               admissibility_check, constant_control,
+                               duality_gap, f_star, feedback_control,
+                               lower_bound_certificate, solve_controlled)
 from peanobsde.engine import (Deterministic, TerminalSpec, TimeGrid,
                               sample_terminal, simulate_brownian)
 from peanobsde.peano import DivergentIntegralError, make_family
@@ -149,17 +149,6 @@ class TestControlProcess:
         with pytest.raises(ValueError, match="finite"):
             ControlProcess(grid=grid, values=vals)
 
-    def test_step_function_length_checked(self):
-        grid = TimeGrid(horizon=1.0, steps=10)
-        with pytest.raises(ValueError):
-            step_function_control(grid, paths=3, step_values=np.ones(7))
-
-    def test_step_function_builder(self):
-        grid = TimeGrid(horizon=1.0, steps=4)
-        ctrl = step_function_control(grid, paths=2,
-                                     step_values=[0.1, 0.2, 0.3, 0.4])
-        assert ctrl.deterministic
-        assert np.array_equal(ctrl.values[:, 0], [0.1, 0.2, 0.3, 0.4])
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +217,6 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens)
 
-    def test_forcing_closed_form_needs_deterministic_control(self):
-        grid, ens = make_ensemble(n=20, m=4)
-        vals = np.abs(0.5 + 0.01 * np.cumsum(ens.increments[:, :, 0], axis=0))
-        ctrl = ControlProcess(grid=grid, values=vals)
-        with pytest.raises(ValueError):
-            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens,
-                             route="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +228,18 @@ class TestEngineRoute:
         grid, ens = det_ensemble(n=20, m=4)
         ctrl = constant_control(grid, paths=4, value=0.0)
         with pytest.raises(InadmissibleControlError):
-            solve_controlled(spec_sqrt(), ctrl, np.ones(4), ens,
-                             route="engine")
+            _engine_controlled(spec_sqrt(), ctrl, np.ones(4), ens,
+                               SolverOptions())
 
     def test_agreement_with_closed_form_on_lognormal_terminal(self):
         grid, ens = make_ensemble(n=50, m=4000, seed=11)
         xi = sample_terminal(TerminalSpec("lognormal",
                                           {"mean": 1.0, "sigma": 0.5}), ens)
         ctrl = constant_control(grid, paths=4000, value=0.5)
-        closed = solve_controlled(spec_sqrt(), ctrl, xi, ens,
-                                  route="closed_form")
-        engine = solve_controlled(spec_sqrt(), ctrl, xi, ens, route="engine")
+        closed = _closed_form_controlled(spec_sqrt(), ctrl, xi, ens,
+                                         SolverOptions())
+        engine = _engine_controlled(spec_sqrt(), ctrl, xi, ens,
+                                    SolverOptions())
         assert engine.y0_mean == pytest.approx(closed.y0_mean, rel=0.02)
         assert engine.diagnostics["scheme"] == "controlled_engine"
 
@@ -519,30 +502,3 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             admissibility_check(ctrl, 0.0, spec_sqrt())
 
-
-class TestHypothesisReport:
-    def test_unit_terminal(self):
-        grid, ens = make_ensemble(n=20, m=32)
-        rep = hypothesis_report(spec_sqrt(), np.ones(32), 2.0, ens)
-        assert rep["finite"]
-        assert rep["moment_estimate"] == pytest.approx(1.0, abs=1e-12)
-        assert rep["exponent"] == pytest.approx(2.0, abs=1e-12)
-        assert rep["zero_terminal_fraction"] == 0.0
-
-    def test_zero_terminal_is_flagged_infinite(self):
-        grid, ens = make_ensemble(n=20, m=32, seed=9)
-        xi = sample_terminal(TerminalSpec("indicator", {"threshold": 0.0}),
-                             ens)
-        assert np.any(xi == 0.0)
-        rep = hypothesis_report(spec_sqrt(), xi, 2.0, ens)
-        assert not rep["finite"]
-        assert math.isinf(rep["moment_estimate"])
-        assert rep["heavy_tail_flag"]
-        assert rep["zero_terminal_fraction"] > 0.0
-
-    def test_validation(self):
-        grid, ens = make_ensemble(n=10, m=4)
-        with pytest.raises(ValueError):
-            hypothesis_report(spec_sqrt(), np.ones(4), 0.0, ens)
-        with pytest.raises(ValueError):
-            hypothesis_report(spec_zero(), np.ones(4), 2.0, ens)

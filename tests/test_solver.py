@@ -167,10 +167,9 @@ def _primal_route(ens, xi, opts):
 
 
 def _control_route(ens, xi, opts):
-    from peanobsde.control import constant_control, solve_controlled
+    from peanobsde.control import _engine_controlled, constant_control
     ctrl = constant_control(ens.grid, ens.paths, 1.0)
-    return [solve_controlled(S.spec_sqrt(), ctrl, xi, ens, opts,
-                             route="engine")]
+    return [_engine_controlled(S.spec_sqrt(), ctrl, xi, ens, opts)]
 
 
 def _transform_route(ens, xi, opts):
@@ -207,38 +206,62 @@ def test_backward_kernel_on_a_noiseless_ensemble(route):
         assert np.all(fld.y == fld.y[:, :1])
 
 
-# --- truncated Picard --------------------------------------------------------
+# --- copy count of a noiseless ensemble -------------------------------------
+# Each case solves on Deterministic(grid, m) and returns (fields, scalars):
+# arrays whose axis 1 runs over the copies, and path-free results.
 
-def test_picard_sqrt_unit_terminal():
-    ens = ensemble(n=50, m=3000, seed=11)
-    sol = S.solve_truncated_picard(S.spec_sqrt(), np.ones(3000), 0.25, ens)
-    assert abs(sol.y0_mean - 2.25) / 2.25 < 0.01
-    assert sol.diagnostics["sub_threshold_fraction"] == 0.0
-
-
-def test_picard_quarter_terminal_closed_form():
-    sol = S.solve_truncated_picard(S.spec_sqrt(), np.full(1, 4.0), 1.0,
-                                   E.Deterministic(grid(100)))
-    assert abs(sol.y0_mean - 6.25) / 6.25 < 0.01
+def _copies_backward_euler(ens):
+    sol = S.solve_backward_euler(S.spec_sqrt(), np.ones(ens.paths), ens)
+    return [sol.y, sol.z], [sol.y0_mean]
 
 
-def test_picard_agrees_with_backward_euler():
-    ens = ensemble(n=50, m=3000, seed=13)
-    xi = E.sample_terminal(
-        E.TerminalSpec("floored_lognormal",
-                       {"mean": 1.0, "sigma": 0.5, "floor": 0.5}), ens)
-    a = S.solve_truncated_picard(S.spec_sqrt(), xi, 0.5, ens)
-    b = S.solve_backward_euler(S.spec_sqrt(), xi, ens)
-    assert abs(a.y0_mean - b.y0_mean) / b.y0_mean < 0.02
+def _copies_maximal_solution(ens):
+    sol = S.maximal_solution(S.spec_sqrt(), np.zeros(ens.paths), ens,
+                             n_schedule=(2, 4, 8),
+                             opts=S.SolverOptions(max_inner=60))
+    # the extrapolation averages its level gaps over every copy
+    assert sol.diagnostics["extrapolated"]
+    return [sol.y], [sol.y0_mean, sol.diagnostics["y0_by_level"]]
 
 
-def test_picard_validation_and_divergence():
-    ens = ensemble(n=5, m=50, seed=14)
-    with pytest.raises(ValueError):
-        S.solve_truncated_picard(S.spec_sqrt(), np.ones(50), 0.0, ens)
-    with pytest.raises(S.PicardDivergenceError):
-        S.solve_truncated_picard(S.spec_sqrt(), np.ones(50), 0.25, ens,
-                                 max_sweeps=1)
+def _copies_special(ens):
+    from peanobsde.transform import SpecialGenerator, solve_special
+    sg = SpecialGenerator(alpha=0.5, c=1.0, k1=0.5, k2=-0.25, k3=0.25,
+                          k4=0.5)
+    res = solve_special(sg, np.ones(ens.paths), ens)
+    return ([res.direct.y, res.via_transform.y],
+            [res.max_discrepancy, res.interior_relative_gap])
+
+
+def _copies_duality_feedback(ens):
+    from peanobsde.control import constant_control, duality_gap
+    family = [constant_control(ens.grid, ens.paths, 0.5), "feedback"]
+    rep = duality_gap(S.spec_sqrt(), np.ones(ens.paths), ens, family)
+    return [], [rep.y0_per_control, rep.gap_min, rep.feedback_match_error]
+
+
+def _copies_certificate(ens):
+    from peanobsde.control import lower_bound_certificate
+    g, m = ens.grid, ens.paths
+    level = (1.0 + (g.horizon - g.nodes) / 2.0) ** 2
+    exact = S.SolutionField(grid=g, y=np.tile(level[:, None], (1, m)),
+                            z=np.zeros((g.steps, m, 1)))
+    cert = lower_bound_certificate(S.spec_sqrt(), np.ones(m), ens, exact)
+    return [cert.bound], [cert.tight_error, cert.worst_violation]
+
+
+@pytest.mark.parametrize("case", [
+    _copies_backward_euler, _copies_maximal_solution, _copies_special,
+    _copies_duality_feedback, _copies_certificate,
+], ids=["backward_euler", "maximal_solution", "special", "duality_feedback",
+        "certificate"])
+def test_one_copy_equals_column_zero_of_two(case):
+    one_fields, one_scalars = case(E.Deterministic(grid(20), paths=1))
+    two_fields, two_scalars = case(E.Deterministic(grid(20), paths=2))
+    for one, two in zip(one_fields, two_fields, strict=True):
+        assert one.shape[1] == 1 and two.shape[1] == 2
+        assert np.array_equal(one[:, 0], two[:, 0])
+    assert one_scalars == two_scalars
 
 
 # --- deterministic ODE and the multiplicity family ---------------------------
@@ -366,50 +389,8 @@ def test_indicator_terminal_between_deterministic_brackets():
     assert lower < sol.y0_mean < upper
 
 
-# --- a priori diagnostic ------------------------------------------------------
-
-def test_apriori_trivial_case_near_one():
-    ens = ensemble(n=20, m=2000, seed=19)
-    xi = np.ones(2000)
-    sol = S.solve_backward_euler(S.spec_zero(), xi, ens)
-    rep = S.apriori_diagnostic(sol, xi, p=2.0, a=1.0, mu=0.0, lam=0.0)
-    assert abs(rep["ratio"] - 1.0) < 0.05
-
-
-def test_apriori_stable_under_refinement():
-    ratios = []
-    for n in (50, 100):
-        ens = ensemble(n=n, m=2000, seed=20)
-        xi = np.ones(2000)
-        sol = S.solve_backward_euler(S.spec_sqrt(), xi, ens)
-        rep = S.apriori_diagnostic(sol, xi, p=2.0, a=1.0, mu=0.0, lam=0.0,
-                                   f_values=1.0)
-        ratios.append(rep["ratio"])
-        assert math.isfinite(rep["ratio"])
-    assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.2
-
-
-def test_apriori_quadratic_terminal_finite():
-    ens = ensemble(n=20, m=2000, seed=21)
-    xi = ens.terminal[:, 0] ** 2
-    sol = S.solve_backward_euler(S.spec_zero(), xi, ens)
-    rep = S.apriori_diagnostic(sol, xi + 1e-9, p=2.0, a=0.5, mu=0.0, lam=0.0)
-    assert math.isfinite(rep["ratio"]) and rep["ratio"] > 0.0
-
-
-def test_apriori_validation():
-    ens = ensemble(n=5, m=50, seed=22)
-    sol = S.solve_backward_euler(S.spec_zero(), np.ones(50), ens)
-    with pytest.raises(ValueError):
-        S.apriori_diagnostic(sol, np.ones(50), p=1.0, a=1.0, mu=0.0, lam=0.0)
-    with pytest.raises(ValueError):
-        S.apriori_diagnostic(sol, np.ones(50), p=2.0, a=0.1, mu=0.5, lam=0.0)
-
-
 @pytest.mark.parametrize("field, value", [
-    ("max_inner", 0), ("max_inner", -2), ("tol", 0.0), ("tol", -1e-8),
-    ("tol", math.nan), ("tol", math.inf), ("floor", -1e-10),
-    ("floor", math.nan), ("floor", math.inf), ("degree", 0),
+    ("max_inner", 0), ("max_inner", -2), ("degree", 0),
 ])
 def test_solver_options_reject_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
